@@ -51,6 +51,7 @@ from .graph import (
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .solver import (
     CensusResult,
+    SelfCheckError,
     SolveReport,
     SolveStats,
     bcr_bruteforce,
@@ -74,6 +75,7 @@ __all__ = [
     "Limits",
     "MergeResult",
     "ResourceLimitError",
+    "SelfCheckError",
     "SiblingPair",
     "Side",
     "SolveReport",

@@ -104,6 +104,7 @@ def parse_edge_list_text(text: str, source: str | None = None) -> BipartiteGraph
     Side sizes are one past the largest index seen on each side.
     """
     edges: list[tuple[int, int, int]] = []
+    seen: dict[tuple[int, int], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -120,9 +121,15 @@ def parse_edge_list_text(text: str, source: str | None = None) -> BipartiteGraph
         weight = values[2] if len(tokens) == 3 else 1
         if weight < 1:
             raise ParseError("weight must be >= 1", line_no, source)
-        if (values[0], values[1]) in {(x, y) for x, y, _ in edges}:
-            raise ParseError(f"duplicate edge {values[0]} {values[1]}", line_no, source)
-        edges.append((values[0], values[1], weight))
+        key = (values[0], values[1])
+        if key in seen:
+            raise ParseError(
+                f"duplicate edge {key[0]} {key[1]} (first on line {seen[key]})",
+                line_no,
+                source,
+            )
+        seen[key] = line_no
+        edges.append((key[0], key[1], weight))
     x_count = 1 + max((x for x, _, _ in edges), default=-1)
     y_count = 1 + max((y for _, y, _ in edges), default=-1)
     return BipartiteGraph(x_count, y_count, tuple(edges))
@@ -275,9 +282,20 @@ def emit_svg(d: Drawing, out: str | Path) -> None:
 # -- commands -----------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _limits(args: argparse.Namespace) -> Limits:
     limits = DEFAULT_LIMITS
-    if getattr(args, "limit_candidates", None):
+    if getattr(args, "limit_candidates", None) is not None:
         limits = replace(limits, max_candidates_per_side=args.limit_candidates)
     return limits
 
@@ -339,7 +357,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--limit-candidates",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help="cap on enumerated candidate layouts per side",
     )
@@ -348,7 +366,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--svg", metavar="OUT", help="render the witness drawing to OUT")
     sub.add_argument(
-        "--threads", type=int, default=1, help="worker threads for the pair search"
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="worker threads for the pair search",
     )
 
 

@@ -22,8 +22,21 @@ the graph is connected and free of sibling pairs.  The mechanism:
    reproduced by choosing a root rank, and per non-root vertex a gap and
    a direction, with the gaps summing to at most 4k + a - 1.  Enumerating
    those choices (depth-first over the spine tree, pruning on rank
-   collisions and exhausted budget) streams a superset of all layouts
-   that can appear in a drawing within budget.
+   collisions and exhausted budget) reaches every layout that can appear
+   in a drawing within budget.
+
+4. The same walk also cuts on the one-sided crossing bound (Juenger and
+   Mutzel 1997; Dujmovic, Fernau and Kaufmann 2008).  Fix this side's
+   order; for opposite-side vertices u, v let c_uv be the weight of the
+   edge pairs that cross when u is left of v.  Every order of the other
+   side pays c_uv or c_vu for each pair, so any drawing with this layout
+   has at least sum(min(c_uv, c_vu)) crossings.  A crossable edge pair's
+   term is fixed as soon as both of its same-side endpoints have ranks,
+   so a partial assignment already yields a partial sum; sums only grow
+   as more vertices are placed and min is monotone, so the partial bound
+   never decreases along a branch, and a branch is cut as soon as it
+   exceeds k.  A layout of a drawing with at most k crossings has a bound
+   of at most k, so no such layout is lost.
 
 Sides of size at most 1 have a single layout and are handled by the
 solver directly; the machinery here requires a side of 2 or more.
@@ -269,25 +282,84 @@ def gap_budget(a: int, k: int) -> int:
     return 4 * k + a - 1
 
 
+def _crossable_weight(g: BipartiteGraph) -> int:
+    """Total weight of the edge pairs with four distinct endpoints.
+
+    All edge pairs, less those sharing an X vertex and those sharing a Y
+    vertex; no pair shares both, since there are no parallel edges.
+    """
+
+    def pair_weight(groups: list[list[int]]) -> int:
+        return sum((sum(ws) ** 2 - sum(w * w for w in ws)) // 2 for ws in groups)
+
+    at_x: list[list[int]] = [[] for _ in range(g.x_count)]
+    at_y: list[list[int]] = [[] for _ in range(g.y_count)]
+    for x, y, w in g.edges:
+        at_x[x].append(w)
+        at_y[y].append(w)
+    return pair_weight([[w for _, _, w in g.edges]]) - pair_weight(at_x) - pair_weight(at_y)
+
+
+def _order_tables(
+    g: BipartiteGraph, side: Side
+) -> tuple[list[list[list[tuple[int, int, int]]]], int]:
+    """Crossing weights that each same-side order decision settles.
+
+    Opposite-side pairs {lo < hi} are numbered p = 0, 1, ...; for each
+    ordered pair (x, z) of side vertices, tables[x][z] lists
+    (p, to_lo_first, to_hi_first): the edge-pair weight that, once x is
+    ranked left of z, crosses when lo is left of hi and when hi is left of
+    lo respectively.  Also returns the number of opposite-side pairs.
+    """
+    a = g.side_count(side)
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(a)]
+    for x, y, w in g.edges:
+        if side is Side.X:
+            nbrs[x].append((y, w))
+        else:
+            nbrs[y].append((x, w))
+    pair_index: dict[tuple[int, int], int] = {}
+    tables: list[list[list[tuple[int, int, int]]]] = [[[] for _ in range(a)] for _ in range(a)]
+    for x in range(a):
+        for z in range(a):
+            if x == z:
+                continue
+            acc: dict[int, list[int]] = {}
+            for u, wu in nbrs[x]:
+                for v, wv in nbrs[z]:
+                    if u == v:
+                        continue
+                    # x left of z: edges (x, u) and (z, v) cross iff v is left of u
+                    p = pair_index.setdefault((u, v) if u < v else (v, u), len(pair_index))
+                    acc.setdefault(p, [0, 0])[1 if u < v else 0] += wu * wv
+            tables[x][z] = [(p, lo, hi) for p, (lo, hi) in acc.items()]
+    return tables, len(pair_index)
+
+
 def enumerate_candidates(
     g: BipartiteGraph,
     side: Side,
     k: int,
     limits: Limits = DEFAULT_LIMITS,
 ) -> Iterator[Layout]:
-    """Stream every layout reachable within the gap budget, without duplicates.
+    """Stream the layouts within the gap budget and the one-sided bound.
 
     Requires a connected graph with no sibling pairs and side size >= 2
     (the caller merges sibling leaves first).  Contains, for every drawing
-    with at most k crossings, that drawing's layout on this side.
+    with at most k crossings, that drawing's layout on this side, and
+    every layout it streams has a one-sided crossing bound of at most k.
 
     The walk assigns ranks depth-first in spine order.  Trying every
     in-range unused rank for a vertex is exactly trying every (gap, sign)
     pair whose decode survives, so pruning on collisions or exhausted
     budget discards only encodings whose decode would fail or overspend.
-    Distinct surviving branches assign some vertex distinct ranks, hence
-    duplicates are impossible by construction; the emitted-set guard is
-    kept as cheap insurance and feeds the stream-size accounting.
+    Placing a vertex adds the order-settled weights against every vertex
+    placed before it to the per-pair sums c_uv, c_vu, and the branch is
+    cut once sum(min(c_uv, c_vu)) exceeds k (see the module docstring);
+    at a leaf that sum is the full one-sided bound.  The bound can never
+    exceed half the total crossable weight, so when that half is at most
+    k the walk does not track it.  Distinct surviving branches assign
+    some vertex distinct ranks, hence the stream has no duplicates.
     """
     a = g.side_count(side)
     budget = gap_budget(a, k)
@@ -298,42 +370,68 @@ def enumerate_candidates(
     spine = build_spine(g, side, root=0)
     order = spine.decode_order
     successor = spine.successor
+    # the bound never exceeds half the crossable weight, so it cannot cut
+    # anything once k reaches that half
+    track = 2 * k < _crossable_weight(g)
+    tables, pairs = _order_tables(g, side) if track else ([], 0)
 
-    emitted: set[tuple[int, ...]] = set()
-    ranks: dict[int, int] = {}
+    ranks = [0] * a
     used = [False] * a
+    emitted = 0
 
-    def walk(depth: int, remaining: int) -> Iterator[Layout]:
+    def walk(
+        depth: int, remaining: int, lo: list[int], hi: list[int], bound: int
+    ) -> Iterator[Layout]:
+        nonlocal emitted
         if depth == a:
-            key = tuple(ranks[v] for v in range(a))
-            if key not in emitted:
-                emitted.add(key)
-                if len(emitted) > limits.max_candidates_per_side:
-                    raise ResourceLimitError(
-                        "candidate stream exceeds max_candidates_per_side="
-                        f"{limits.max_candidates_per_side}"
-                    )
-                yield Layout(side, key)
+            emitted += 1
+            if emitted > limits.max_candidates_per_side:
+                raise ResourceLimitError(
+                    "candidate stream exceeds max_candidates_per_side="
+                    f"{limits.max_candidates_per_side}"
+                )
+            yield Layout(side, tuple(ranks))
             return
         x = order[depth]
+        placed = order[:depth]
         base = ranks[successor[x]]
         for gap in range(remaining + 1):
+            if base + gap + 1 >= a and base - gap - 1 < 0:
+                break  # every larger gap lands out of range too
             for sign in (1, -1):
                 r = base + sign * (gap + 1)
-                if 0 <= r < a and not used[r]:
-                    ranks[x] = r
-                    used[r] = True
-                    yield from walk(depth + 1, remaining - gap)
-                    used[r] = False
-                    del ranks[x]
+                if not 0 <= r < a or used[r]:
+                    continue
+                next_lo, next_hi, next_bound = lo, hi, bound
+                if track:
+                    next_lo = lo[:]
+                    next_hi = hi[:]
+                    for z in placed:
+                        settled = tables[x][z] if r < ranks[z] else tables[z][x]
+                        for p, d_lo, d_hi in settled:
+                            lo0 = next_lo[p]
+                            hi0 = next_hi[p]
+                            lo1 = lo0 + d_lo
+                            hi1 = hi0 + d_hi
+                            next_lo[p] = lo1
+                            next_hi[p] = hi1
+                            next_bound += (lo1 if lo1 < hi1 else hi1) - (lo0 if lo0 < hi0 else hi0)
+                        if next_bound > k:
+                            break  # the bound only grows: no need to finish the sums
+                    if next_bound > k:
+                        continue
+                ranks[x] = r
+                used[r] = True
+                yield from walk(depth + 1, remaining - gap, next_lo, next_hi, next_bound)
+                used[r] = False
 
     root = order[0]
+    zeros = [0] * pairs
     for root_rank in range(a):
         ranks[root] = root_rank
         used[root_rank] = True
-        yield from walk(1, budget)
+        yield from walk(1, budget, zeros, zeros, 0)
         used[root_rank] = False
-        del ranks[root]
 
 
 def count_bound(a: int, k: int) -> int:

@@ -4,9 +4,15 @@ Per connected component the pipeline is: merge sibling leaves, answer 0
 for caterpillars, reject when the edge-count lower bound already exceeds
 the budget, answer 0 when a side has at most one vertex, and otherwise
 search the cross product of the enumerated candidate layouts for both
-sides.  The candidate streams are complete for drawings within budget, so
-the minimum over candidate pairs is the exact crossing number whenever
-that number is within budget.
+sides.  The budget handed to the enumeration is first capped at the
+crossing count of the identity drawing, which the optimum cannot exceed.
+The candidate streams are complete for drawings within budget: each holds
+every layout of a drawing with at most that many crossings, and only
+layouts whose one-sided crossing bound is within budget (see
+bicross.enumeration).  So the minimum over candidate pairs is the exact
+crossing number whenever that number is within budget, the lexicographically
+first optimal pair is the same as over all layout pairs, and an empty
+stream proves that the optimum exceeds the budget.
 
 The cross-product search is vectorized: for every unordered edge pair
 that can cross (distinct endpoints on both sides), a layout induces a
@@ -55,6 +61,10 @@ _PAIR_CHUNK_ROWS = 2048
 _FLOAT_EXACT_LIMIT = 1 << 53  # largest weight mass safe for float64 matmul
 
 
+class SelfCheckError(RuntimeError):
+    """A solver result failed its own consistency check: an internal bug."""
+
+
 @dataclass(frozen=True)
 class SolveStats:
     components: int
@@ -86,14 +96,26 @@ class SolveReport:
 
 
 def _checked(report: SolveReport) -> SolveReport:
-    # consistency invariants, asserted after every solve
+    """The report itself, once its consistency invariants hold.
+
+    Checked after every solve, with explicit raises so the check also runs
+    under python -O: a "yes" carries an optimum within budget and a witness
+    that recounts to it; a "no" carries neither.
+    """
     if report.decision == "yes":
-        assert report.optimum is not None and report.optimum <= report.k
-        assert report.witness is not None
-        assert crossing_number_fast(report.witness) == report.optimum
+        ok = (
+            report.optimum is not None
+            and report.optimum <= report.k
+            and report.witness is not None
+            and crossing_number_fast(report.witness) == report.optimum
+        )
     else:
-        assert report.decision == "no"
-        assert report.optimum is None and report.witness is None
+        ok = report.decision == "no" and report.optimum is None and report.witness is None
+    if not ok:
+        raise SelfCheckError(
+            f"inconsistent report: decision={report.decision} optimum={report.optimum} "
+            f"k={report.k} witness={'present' if report.witness else 'absent'}"
+        )
     return report
 
 
@@ -326,12 +348,14 @@ def _pair_search(
 
     Returns (best, best_x_index, best_y_index, pairs_evaluated) where the
     index pair is the lexicographically first attaining the minimum; the
-    candidate lists must be sorted.  Stops early once a count at most
-    exit_at (a proven lower bound) appears: enumeration order is row-major
-    over the sorted lists, so the first such hit is also the tie-break
-    winner.  Evaluation proceeds in fixed chunks of X candidates; threads
-    only spread chunks of one wave, keeping counts and outcome identical
-    for every thread count.
+    candidate lists must be sorted and non-empty.  Stops early once a count
+    at most exit_at (a proven lower bound) appears: enumeration order is
+    row-major over the sorted lists, so the first such hit is also the
+    tie-break winner.  Evaluation proceeds in fixed chunks of X candidates;
+    threads only spread the chunks of one wave, whose results are taken in
+    chunk order up to the first chunk reaching exit_at (later chunks cannot
+    win: exit_at is a lower bound and ties go to the earlier chunk), so the
+    outcome and pairs_evaluated are identical for every thread count.
     """
     x1, x2, y1, y2, wp = _crossable_pairs(g)
     total_w = sum(wp)
@@ -363,7 +387,7 @@ def _pair_search(
     pos = 0
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
-        while pos < len(starts):
+        while pos < len(starts) and (best is None or best > exit_at):
             wave = starts[pos : pos + max(1, threads)]
             pos += len(wave)
             if pool is not None:
@@ -374,8 +398,8 @@ def _pair_search(
                 evaluated += rows * n_y
                 if best is None or cmin < best:
                     best, best_flat = cmin, cflat
-            if best is not None and best <= exit_at:
-                break
+                if best <= exit_at:
+                    break
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
@@ -439,8 +463,16 @@ def _solve_component(
         witness = _expand_witness(mr, identity_drawing(h), g)
         return _ComponentOutcome(0, witness, 0, 0, 0, 0, False)
 
+    # the optimum is at most any drawing's count, so a larger budget admits
+    # no further optimal pair; the cap keeps the gap budget 4k + a - 1 small
+    budget = min(budget, crossing_number_fast(identity_drawing(h)))
     x_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.X, budget, limits))
     y_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.Y, budget, limits))
+    if not x_layouts or not y_layouts:
+        # no layout of some side fits a drawing within budget
+        return _ComponentOutcome(
+            None, None, len(x_layouts), len(y_layouts), 0, 0, True
+        )
     pairs_total = len(x_layouts) * len(y_layouts)
     if pairs_total > limits.max_pair_evaluations:
         raise ResourceLimitError(
@@ -478,9 +510,10 @@ def bcr_component(
     if not is_connected(g):
         raise GraphError("bcr_component requires a connected graph")
     out = _solve_component(g, budget, limits, threads)
-    if out.value is not None:
-        assert out.witness is not None
-        assert crossing_number_fast(out.witness) == out.value
+    if out.value is not None and (
+        out.witness is None or crossing_number_fast(out.witness) != out.value
+    ):
+        raise SelfCheckError(f"component witness does not recount to {out.value}")
     return out.value, out.witness
 
 

@@ -82,6 +82,11 @@ class TestParsing:
         with pytest.raises(ParseError, match="duplicate"):
             parse_edge_list_text("0 0\n0 0\n")
 
+    def test_edge_list_duplicate_names_both_lines(self):
+        with pytest.raises(ParseError, match=r"duplicate edge 0 0 \(first on line 1\)") as err:
+            parse_edge_list_text("0 0\n# note\n1 0\n0 0 2\n")
+        assert err.value.line == 4
+
 
 class TestCommands:
     def run(self, capsys, *argv):
@@ -176,6 +181,35 @@ class TestCommands:
         )
         assert code == 3
         assert "max_candidates_per_side" in err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--limit-candidates", "0"),
+            ("--limit-candidates", "-3"),
+            ("--threads", "0"),
+            ("--threads", "-1"),
+        ],
+    )
+    def test_counts_below_one_rejected(self, tmp_path, capsys, flag, value):
+        path = write(tmp_path, "c4.bg", C4_TEXT)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decide", "--k", "1", path, flag, value])
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_large_budget_is_capped(self, tmp_path, capsys):
+        # two disjoint C6 (bcr 2 each): the gap budget of k = 200 alone
+        # would exceed max_gap_budget
+        edges = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)]
+        text = "bigraph 6 6\n" + "".join(
+            f"x{x + s} y{y + s}\n" for s in (0, 3) for x, y in edges
+        )
+        path = write(tmp_path, "two_c6.bg", text)
+        code, out, _ = self.run(capsys, "decide", "--k", "200", path, "--json", "-")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["decision"], doc["optimum"]) == ("yes", 4)
 
     def test_json_deterministic_modulo_wall_time(self, tmp_path, capsys):
         path = write(tmp_path, "c4.bg", C4_TEXT)

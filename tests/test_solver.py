@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import bicross.solver as solver_mod
 from bicross import (
     BipartiteGraph,
     GraphError,
@@ -228,6 +234,23 @@ class TestExact:
         assert single.witness == multi.witness
         assert single.stats == multi.stats
 
+    def test_stats_do_not_depend_on_threads(self, monkeypatch):
+        # one X candidate per chunk, so a wave of two chunks can hit the
+        # early exit in its first chunk
+        monkeypatch.setattr(solver_mod, "_PAIR_CHUNK_ROWS", 1)
+        c4_tail = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]
+        graphs = [
+            (build_graph(4, 5, c4_tail), 1),
+            (build_graph(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)]), 2),
+            (SPIDER, 1),
+        ]
+        for g, k in graphs:
+            for decide in (bcr_decide, bcr_exact):
+                single = decide(g, k, threads=1)
+                double = decide(g, k, threads=2)
+                assert single.stats == double.stats
+                assert single.witness == double.witness
+
     def test_merge_handles_weighted_siblings(self):
         rng = random.Random(79)
         for _ in range(10):
@@ -253,3 +276,49 @@ class TestExact:
                 assert report.optimum == want
             else:
                 assert report.decision == "no"
+
+
+class TestSelfCheck:
+    SCRIPT = textwrap.dedent(
+        """
+        import sys
+        import bicross.solver as solver
+        from bicross import build_graph, crossing_number_fast, drawing_from_ranks
+
+        if not sys.flags.optimize:
+            raise SystemExit("expected python -O")
+        real = solver._pair_search
+
+        def wrong_index(g, xs, ys, exit_at, threads):
+            best, _, _, evaluated = real(g, xs, ys, exit_at, threads)
+            for i, xr in enumerate(xs):
+                for j, yr in enumerate(ys):
+                    if crossing_number_fast(drawing_from_ranks(g, xr, yr)) != best:
+                        return best, i, j, evaluated
+            raise SystemExit("every candidate pair is optimal")
+
+        solver._pair_search = wrong_index
+        c6 = build_graph(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)])
+        for call in (lambda: solver.bcr_decide(c6, 3), lambda: solver.bcr_component(c6, 3)):
+            try:
+                call()
+            except solver.SelfCheckError as err:
+                print("caught:", err)
+            else:
+                raise SystemExit("a wrong witness went unnoticed")
+        """
+    )
+
+    def test_wrong_witness_raises_under_python_O(self):
+        src = str(Path(solver_mod.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.count("caught:") == 2

@@ -9,7 +9,7 @@ Graphs are passed around as (x_count, y_count, edges) triples with
 from __future__ import annotations
 
 from collections import deque
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 Triple = tuple[int, int, list[tuple[int, int, int]]]
 
@@ -186,3 +186,53 @@ def inject_sibling_leaves(rng, triple: Triple, max_n: int = 9) -> Triple:
             a += 1
         budget -= 1
     return a, b, sorted(edges)
+
+
+def one_sided_bound(edges, fixed_is_x: bool, ranks) -> int:
+    """Sum over opposite-side pairs {u, v} of min(c_uv, c_vu), from the definition.
+
+    With the fixed side's ranks given, c_uv is the weight of the edge
+    pairs that cross when u is placed left of v on the other side.
+    """
+    es = [
+        (e[0], e[1], e[2] if len(e) == 3 else 1) if fixed_is_x
+        else (e[1], e[0], e[2] if len(e) == 3 else 1)
+        for e in edges
+    ]
+    cost: dict[tuple[int, int], int] = {}
+    for i in range(len(es)):
+        s1, t1, w1 = es[i]
+        for j in range(i + 1, len(es)):
+            s2, t2, w2 = es[j]
+            if s1 == s2 or t1 == t2:
+                continue
+            left, right = (t1, t2) if ranks[s1] < ranks[s2] else (t2, t1)
+            # the edges cross iff the left fixed vertex's end is right of the other's
+            cost[(right, left)] = cost.get((right, left), 0) + w1 * w2
+    pairs = {tuple(sorted(key)) for key in cost}
+    return sum(min(cost.get((u, v), 0), cost.get((v, u), 0)) for u, v in pairs)
+
+
+def connected_graph_classes(max_a: int, max_b: int):
+    """One connected graph per class of bipartite graphs with sides up to the caps.
+
+    Classes are taken up to relabelling within each side (the sides stay
+    apart).  Every class has a member whose biadjacency rows are sorted, so
+    only sorted row tuples are generated; the class key is the smallest
+    sorted row tuple over all column permutations.
+    """
+    for a in range(1, max_a + 1):
+        for b in range(1, max_b + 1):
+            remap = [
+                [sum(1 << perm[y] for y in range(b) if row >> y & 1) for row in range(1 << b)]
+                for perm in permutations(range(b))
+            ]
+            seen: set[tuple[int, ...]] = set()
+            for rows in combinations_with_replacement(range(1 << b), a):
+                key = min(tuple(sorted(table[r] for r in rows)) for table in remap)
+                if key in seen:
+                    continue
+                seen.add(key)
+                edges = [(x, y, 1) for x in range(a) for y in range(b) if rows[x] >> y & 1]
+                if is_connected_triple(a, b, edges):
+                    yield a, b, edges
