@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .drawing import Drawing, crossing_number_fast
-from .graph import BipartiteGraph, GraphError
+from .graph import BipartiteGraph
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .solver import CensusResult, SolveReport, bcr_decide, bcr_exact, census
 
@@ -413,19 +413,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except GraphError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except OSError as err:
+    except (ValueError, OSError) as err:  # ParseError and GraphError included
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -205,39 +205,40 @@ def split_components(g: BipartiteGraph) -> list[GraphComponent]:
     with no X vertex (isolated Y vertices) follow, ordered by smallest Y.
     """
     adj = _combined_adjacency(g)
-    seen = [False] * g.n
-    parts: list[GraphComponent] = []
+    comp = [-1] * g.n  # component number of each combined id
+    local = [0] * g.n  # index of each combined id within its component's side
+    sides: list[tuple[list[int], list[int]]] = []
     # Seeding from x0, x1, ... then y0, y1, ... yields exactly the required order.
-    for seed in list(range(g.x_count)) + list(range(g.x_count, g.n)):
-        if seen[seed]:
+    for seed in range(g.n):
+        if comp[seed] >= 0:
             continue
-        seen[seed] = True
+        comp[seed] = len(sides)
         members = [seed]
         queue = deque([seed])
         while queue:
             v = queue.popleft()
             for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
+                if comp[w] < 0:
+                    comp[w] = comp[seed]
                     members.append(w)
                     queue.append(w)
         xs = sorted(v for v in members if v < g.x_count)
         ys = sorted(v - g.x_count for v in members if v >= g.x_count)
-        x_new = {orig: i for i, orig in enumerate(xs)}
-        y_new = {orig: i for i, orig in enumerate(ys)}
-        edges = tuple(
-            (x_new[x], y_new[y], w)
-            for x, y, w in g.edges
-            if x in x_new
+        for i, x in enumerate(xs):
+            local[x] = i
+        for i, y in enumerate(ys):
+            local[g.x_count + y] = i
+        sides.append((xs, ys))
+    # one pass buckets the sorted edges, keeping them sorted per component
+    buckets: list[list[tuple[int, int, int]]] = [[] for _ in sides]
+    for x, y, w in g.edges:
+        buckets[comp[x]].append((local[x], local[g.x_count + y], w))
+    return [
+        GraphComponent(
+            BipartiteGraph(len(xs), len(ys), tuple(edges)), tuple(xs), tuple(ys)
         )
-        parts.append(
-            GraphComponent(
-                BipartiteGraph(len(xs), len(ys), edges),
-                tuple(xs),
-                tuple(ys),
-            )
-        )
-    return parts
+        for (xs, ys), edges in zip(sides, buckets)
+    ]
 
 
 def connected_components(g: BipartiteGraph) -> list[BipartiteGraph]:

@@ -2,10 +2,10 @@
 
 Per connected component the pipeline is: merge sibling leaves, answer 0
 for caterpillars, reject when the edge-count lower bound already exceeds
-the budget, answer 0 when a side has at most one vertex, and otherwise
-search the cross product of the enumerated candidate layouts for both
-sides.  The budget handed to the enumeration is first capped at the
-crossing count of the identity drawing, which the optimum cannot exceed.
+the budget, and otherwise search the cross product of the enumerated
+candidate layouts for both sides.  The budget handed to the enumeration
+is first capped at the crossing count of the identity drawing, which the
+optimum cannot exceed.
 The candidate streams are complete for drawings within budget: each holds
 every layout of a drawing with at most that many crossings, and only
 layouts whose one-sided crossing bound is within budget (see
@@ -28,7 +28,7 @@ scalar counter if the weight mass ever gets that large.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -457,12 +457,6 @@ def _solve_component(
     if lb > budget:
         return _ComponentOutcome(None, None, 0, 0, 0, 0, False)
 
-    # unreachable after the caterpillar test (a one-vertex side is always a
-    # star forest) but kept as an explicit pipeline stage
-    if h.x_count <= 1 or h.y_count <= 1:
-        witness = _expand_witness(mr, identity_drawing(h), g)
-        return _ComponentOutcome(0, witness, 0, 0, 0, 0, False)
-
     # the optimum is at most any drawing's count, so a larger budget admits
     # no further optimal pair; the cap keeps the gap budget 4k + a - 1 small
     budget = min(budget, crossing_number_fast(identity_drawing(h)))
@@ -520,6 +514,58 @@ def bcr_component(
 # -- top-level drivers ---------------------------------------------------------
 
 
+def _solve_components(
+    g: BipartiteGraph,
+    k: int,
+    limits: Limits,
+    threads: int,
+    ascend: bool,
+) -> SolveReport:
+    """Solve the components of g in order against the budget k they share.
+
+    Each component gets the budget left over from its predecessors'
+    optima.  Without ascend it is solved once at that budget; with
+    ascend it is solved at its lower bound m - n + 1, then one more, and
+    so on up to that budget, stopping at the first budget that admits a
+    drawing, which is then its optimum.  The search either way stops at
+    the first component whose optimum exceeds its budget.  A "yes"
+    report carries k itself, or the summed optimum with ascend; stats
+    add up over every component solve.
+    """
+    parts = split_components(g)
+    outcomes: list[_ComponentOutcome] = []
+    solved: list[tuple[GraphComponent, Drawing]] = []
+    remaining = k
+    for part in parts:
+        start = crossing_lower_bound(part.graph) if ascend else remaining
+        out = None
+        for budget in range(start, remaining + 1):
+            out = _solve_component(part.graph, budget, limits, threads)
+            outcomes.append(out)
+            if out.value is not None:
+                break
+        if out is None or out.value is None:
+            break
+        remaining -= out.value
+        assert out.witness is not None
+        solved.append((part, out.witness))
+    stats = SolveStats(
+        len(parts),
+        sum(out.candidates_x for out in outcomes),
+        sum(out.candidates_y for out in outcomes),
+        sum(out.pairs_evaluated for out in outcomes),
+        sum(out.pruned for out in outcomes),
+    )
+    method = "fpt-enum" if any(out.enumerated for out in outcomes) else "fastpath"
+    if len(solved) < len(parts):
+        return _checked(SolveReport("no", None, None, stats, method, k))
+    total = k - remaining
+    witness = _compose_drawing(g, solved)
+    return _checked(
+        SolveReport("yes", total, witness, stats, method, total if ascend else k)
+    )
+
+
 def bcr_decide(
     g: BipartiteGraph,
     k: int,
@@ -538,33 +584,7 @@ def bcr_decide(
     """
     if k < 0:
         raise ValueError("crossing budget must be non-negative")
-    parts = split_components(g)
-    remaining = k
-    total = 0
-    solved: list[tuple[GraphComponent, Drawing]] = []
-    cand_x = cand_y = pairs_eval = pruned = 0
-    enumerated = False
-    failed = False
-    for part in parts:
-        out = _solve_component(part.graph, remaining, limits, threads)
-        cand_x += out.candidates_x
-        cand_y += out.candidates_y
-        pairs_eval += out.pairs_evaluated
-        pruned += out.pruned
-        enumerated = enumerated or out.enumerated
-        if out.value is None:
-            failed = True
-            break
-        total += out.value
-        remaining -= out.value
-        assert out.witness is not None
-        solved.append((part, out.witness))
-    stats = SolveStats(len(parts), cand_x, cand_y, pairs_eval, pruned)
-    method = "fpt-enum" if enumerated else "fastpath"
-    if failed:
-        return _checked(SolveReport("no", None, None, stats, method, k))
-    witness = _compose_drawing(g, solved)
-    return _checked(SolveReport("yes", total, witness, stats, method, k))
+    return _solve_components(g, k, limits, threads, ascend=False)
 
 
 def bcr_exact(
@@ -573,33 +593,21 @@ def bcr_exact(
     limits: Limits = DEFAULT_LIMITS,
     threads: int = 1,
 ) -> SolveReport:
-    """Smallest k admitting a drawing, by deciding k = 0, 1, ... up to k_max.
+    """Smallest k admitting a drawing, searched up to k_max.
 
-    The returned report carries the successful k (so decision is "yes"
-    and optimum = k), or decision "no" at k = k_max when every budget up
-    to k_max fails; stats accumulate over all iterations.
+    The graph is split once and each component is solved to its optimum
+    once, by raising its budget from its lower bound m - n + 1 one step
+    at a time, never past what k_max leaves after the optima before it;
+    by additivity (see bcr_decide) the optima sum to the crossing number.
+    The report carries that k (decision "yes", optimum = k) or decision
+    "no" at k = k_max once some component's ascent runs out of budget.
+    Decision, optimum, k, method and witness are those of
+    bcr_decide(g, min(bcr(g), k_max)): each component's witness is the
+    lexicographically first optimal pair at every budget that admits it.
+    Stats add up over the component solves of the ascent.
     """
     if k_max is None:
         k_max = limits.k_max_default
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    cand_x = cand_y = pairs_eval = pruned = 0
-    enumerated = False
-    for k in range(k_max + 1):
-        report = bcr_decide(g, k, limits, threads)
-        cand_x += report.stats.candidates_x
-        cand_y += report.stats.candidates_y
-        pairs_eval += report.stats.pairs_evaluated
-        pruned += report.stats.pruned
-        enumerated = enumerated or report.method == "fpt-enum"
-        if report.decision == "yes":
-            stats = SolveStats(
-                report.stats.components, cand_x, cand_y, pairs_eval, pruned
-            )
-            method = "fpt-enum" if enumerated else "fastpath"
-            return _checked(replace(report, stats=stats, method=method))
-    stats = SolveStats(
-        len(split_components(g)), cand_x, cand_y, pairs_eval, pruned
-    )
-    method = "fpt-enum" if enumerated else "fastpath"
-    return _checked(SolveReport("no", None, None, stats, method, k_max))
+    return _solve_components(g, k_max, limits, threads, ascend=True)

@@ -22,8 +22,10 @@ from bicross import (
     bcr_exact,
     build_graph,
     census,
+    crossing_lower_bound,
     crossing_number_fast,
     find_sibling_pairs,
+    split_components,
 )
 from bicross.limits import Limits
 from util import (
@@ -43,6 +45,26 @@ def k33():
 
 def star(leaves):
     return build_graph(1, leaves, [(0, j) for j in range(leaves)])
+
+
+def random_union(rng, parts, max_n):
+    """Disjoint union of random connected graphs with leaf weights."""
+    a = b = 0
+    edges = []
+    for _ in range(parts):
+        pa, pb, pe = random_connected_graph(rng, max_n=max_n, leaf_weights=True)
+        edges += [(x + a, y + b, w) for x, y, w in pe]
+        a += pa
+        b += pb
+    return BipartiteGraph(a, b, tuple(edges))
+
+
+def component_optima(g):
+    """(part, reference optimum) per component, in solving order."""
+    return [
+        (part, reference_bcr(part.graph.x_count, part.graph.y_count, part.graph.edges))
+        for part in split_components(g)
+    ]
 
 
 SPIDER = build_graph(4, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1), (3, 2)])
@@ -188,7 +210,8 @@ class TestExact:
 
     def test_stats_accumulate(self):
         report = bcr_exact(c4(), 5)
-        # k=0 is guard-rejected, k=1 enumerates 2 candidates per side
+        # the ascent starts at the lower bound 1, which enumerates 2
+        # candidates per side
         assert report.stats.candidates_x == 2
         assert report.stats.pairs_evaluated > 0
 
@@ -223,6 +246,71 @@ class TestExact:
             report = bcr_exact(union, 16)
             if part_sum <= 16:
                 assert report.optimum == part_sum
+
+    def test_matches_decide_at_the_optimum_on_unions(self):
+        # exact(g, K) answers like decide(g, min(opt, K)), witness included
+        rng = random.Random(83)
+        later_failures = 0
+        for _ in range(110):
+            g = random_union(rng, rng.randint(2, 4), max_n=6)
+            optima = [value for _, value in component_optima(g)]
+            opt = sum(optima)
+            budgets = [opt, opt + 2] + ([opt - 1] if opt else [])
+            for k_max in budgets:
+                report = bcr_exact(g, k_max)
+                want = bcr_decide(g, min(opt, k_max))
+                got = (report.decision, report.optimum, report.k, report.method)
+                assert got == (want.decision, want.optimum, want.k, want.method)
+                assert report.witness == want.witness
+                assert report.stats.components == len(optima)
+                if opt > k_max:
+                    assert (report.decision, report.k) == ("no", k_max)
+                    prefix = [sum(optima[: i + 1]) for i in range(len(optima))]
+                    if next(i for i, p in enumerate(prefix) if p > k_max) > 0:
+                        later_failures += 1
+                else:
+                    assert (report.decision, report.optimum, report.k) == ("yes", opt, opt)
+        # the budget must also run out in some component after the first
+        assert later_failures >= 20
+
+    def test_each_component_solved_once_from_its_lower_bound(self, monkeypatch):
+        calls = []
+        real = solver_mod._solve_component
+
+        def counting(g, budget, limits, threads):
+            calls.append(budget)
+            return real(g, budget, limits, threads)
+
+        monkeypatch.setattr(solver_mod, "_solve_component", counting)
+        c4s = build_graph(
+            4, 4, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
+        )
+        graphs = [c4s, k33()] + [
+            random_union(random.Random(seed), 3, max_n=6) for seed in range(89, 99)
+        ]
+        for g in graphs:
+            parts = component_optima(g)
+            calls.clear()
+            report = bcr_exact(g, 40)
+            assert report.optimum == sum(value for _, value in parts)
+            ceiling = len(parts) + sum(
+                value - crossing_lower_bound(part.graph) for part, value in parts
+            )
+            assert len(calls) <= ceiling
+
+    def test_empty_graph(self):
+        report = bcr_exact(build_graph(0, 0, []), 5)
+        assert (report.decision, report.optimum, report.k) == ("yes", 0, 0)
+        assert report.stats.components == 0
+        assert report.method == "fastpath"
+
+    def test_isolated_vertices_only(self):
+        g = build_graph(2, 3, [])
+        report = bcr_exact(g, 0)
+        assert (report.decision, report.optimum, report.k) == ("yes", 0, 0)
+        assert report.stats.components == 5
+        assert report.witness.graph == g
+        assert crossing_number_fast(report.witness) == 0
 
     def test_threads_do_not_change_the_result(self):
         g = build_graph(
