@@ -165,23 +165,31 @@ def _combined_adjacency(g: BipartiteGraph) -> list[list[int]]:
     return adj
 
 
+def _component_count(g: BipartiteGraph) -> int:
+    """Number of connected components, isolated vertices included.
+
+    Union-find over the edge list on combined ids (X vertex i -> i, Y
+    vertex j -> x_count + j); nothing but the parent table is allocated.
+    """
+    parent = list(range(g.n))
+    count = g.n
+    xc = g.x_count
+    for x, y, _ in g.edges:
+        u = x
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        v = xc + y
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            count -= 1
+    return count
+
+
 def is_connected(g: BipartiteGraph) -> bool:
     """True iff all n vertices are mutually reachable (vacuously true for n <= 1)."""
-    if g.n <= 1:
-        return True
-    adj = _combined_adjacency(g)
-    seen = [False] * g.n
-    queue = deque([0])
-    seen[0] = True
-    reached = 1
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                reached += 1
-                queue.append(w)
-    return reached == g.n
+    return g.n <= 1 or _component_count(g) == 1
 
 
 @dataclass(frozen=True)
@@ -357,8 +365,7 @@ def crossing_lower_bound(g: BipartiteGraph) -> int:
     graphs are forests, so m - t <= n - c.  Weighted crossings only cost
     more, so the bound holds for weighted graphs too.
     """
-    c = len(split_components(g))
-    return max(0, g.m - g.n + c)
+    return max(0, g.m - g.n + _component_count(g))
 
 
 def is_caterpillar_forest(g: BipartiteGraph) -> bool:
@@ -367,8 +374,7 @@ def is_caterpillar_forest(g: BipartiteGraph) -> bool:
     These are exactly the graphs with a crossing-free two-layer drawing,
     so the solver may answer 0 without enumeration when this holds.
     """
-    c = len(split_components(g))
-    if g.m != g.n - c:
+    if g.m != g.n - _component_count(g):
         return False  # some component has a cycle
     # In a forest the non-leaf vertices of a component induce a subtree;
     # that subtree is a path iff nobody has three non-leaf neighbors.

@@ -1,11 +1,11 @@
 """Exact crossing-number solving.
 
-Per connected component the pipeline is: merge sibling leaves, answer 0
-for caterpillars, reject when the edge-count lower bound already exceeds
-the budget, and otherwise search the cross product of the enumerated
-candidate layouts for both sides.  The budget handed to the enumeration
-is first capped at the crossing count of the identity drawing, which the
-optimum cannot exceed.
+Per connected component the pipeline is: answer 0 for caterpillars,
+merge sibling leaves, reject when the edge-count lower bound already
+exceeds the budget, and otherwise search the cross product of the
+enumerated candidate layouts for both sides.  The budget handed to the
+enumeration is first capped at the crossing count of the identity
+drawing, which the optimum cannot exceed.
 The candidate streams are complete for drawings within budget: each holds
 every layout of a drawing with at most that many crossings, and only
 layouts whose one-sided crossing bound is within budget (see
@@ -229,52 +229,40 @@ def census(g: BipartiteGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Census
 
 
 def _caterpillar_drawing(g: BipartiteGraph) -> Drawing:
-    """Crossing-free drawing of a caterpillar forest.
+    """Crossing-free drawing of a connected caterpillar.
 
-    Walks each component's spine (the path of non-leaf vertices) from one
-    end, appending the spine vertex and then its leaves; the two layer
-    orders read off that walk never flip, so no edge pair crosses.
+    Walks the spine (the path of non-leaf vertices) from one end, appending
+    the spine vertex and then its leaves in ascending order; the two layer
+    orders read off that walk never flip, so no edge pair crosses.  The
+    walk starts at the spine end of smallest index, X before Y; a lone
+    edge has no spine and is walked from its X endpoint.
     """
-    x_seq: list[int] = []
-    y_seq: list[int] = []
-    for part in split_components(g):
-        h = part.graph
-        if h.n == 1:
-            (x_seq if h.x_count else y_seq).extend(
-                part.x_vertices or part.y_vertices
-            )
-            continue
-        adj: list[list[int]] = [[] for _ in range(h.n)]
-        for x, y, _ in h.edges:
-            adj[x].append(h.x_count + y)
-            adj[h.x_count + y].append(x)
-        for lst in adj:
-            lst.sort()
-        deg = [len(lst) for lst in adj]
-        backbone = [v for v in range(h.n) if deg[v] >= 2]
-        if not backbone:
-            backbone = [0]  # a lone edge: treat its X endpoint as the spine
-        spine_adj = {v: [w for w in adj[v] if deg[w] >= 2] for v in backbone}
-        ends = sorted(v for v in backbone if len(spine_adj[v]) <= 1)
-        walk = [ends[0]]
-        prev = -1
-        while True:
-            step = [w for w in spine_adj[walk[-1]] if w != prev]
-            if not step:
-                break
-            prev = walk[-1]
-            walk.append(step[0])
-        for v in walk:
-            if v < h.x_count:
-                x_seq.append(part.x_vertices[v])
-                y_seq.extend(part.y_vertices[w - h.x_count] for w in adj[v] if deg[w] == 1)
-            else:
-                y_seq.append(part.y_vertices[v - h.x_count])
-                x_seq.extend(part.x_vertices[w] for w in adj[v] if deg[w] == 1)
+    if g.m == 0:  # connected, so at most one vertex
+        return identity_drawing(g)
+    adjs = (g.x_adj, g.y_adj)
+    seqs: tuple[list[int], list[int]] = ([], [])
+    ends = (
+        (side, v)
+        for side in (0, 1)
+        for v, nbrs in enumerate(adjs[side])
+        if len(nbrs) >= 2 and sum(len(adjs[1 - side][w]) >= 2 for w in nbrs) <= 1
+    )
+    side, v = next(ends, (0, 0))
+    prev = -1
+    while v >= 0:
+        seqs[side].append(v)
+        leaves, other_adj = seqs[1 - side], adjs[1 - side]
+        step = -1
+        for w in adjs[side][v]:
+            if len(other_adj[w]) == 1:
+                leaves.append(w)
+            elif w != prev:
+                step = w  # the next spine vertex
+        side, prev, v = 1 - side, v, step
     return Drawing(
         g,
-        layout_from_sequence(Side.X, x_seq),
-        layout_from_sequence(Side.Y, y_seq),
+        layout_from_sequence(Side.X, seqs[0]),
+        layout_from_sequence(Side.Y, seqs[1]),
     )
 
 
@@ -446,13 +434,25 @@ class _ComponentOutcome:
 def _solve_component(
     g: BipartiteGraph, budget: int, limits: Limits, threads: int
 ) -> _ComponentOutcome:
+    """Optimum of the connected graph g if it is at most budget.
+
+    Caterpillars are answered 0 on g itself, before any merge, with the
+    outcome the merged graph would give.  The sibling merge preserves bcr
+    and caterpillars are exactly the graphs with bcr 0, so g is one iff
+    its merge is.  The merge keeps every spine vertex and the order among
+    them, except that a star becomes a lone edge, whose one drawing
+    expands to the star's.  Merged leaves expand in ascending order in
+    place of their representative, the smallest of them.  So the spine
+    walk of _caterpillar_drawing on g lays out the witness that the walk
+    on the merged graph, expanded, would.  Every other component is
+    merged, rejected when its lower bound m - n + 1 exceeds the budget,
+    and otherwise searched over candidate pairs.
+    """
+    if is_caterpillar_forest(g):
+        return _ComponentOutcome(0, _caterpillar_drawing(g), 0, 0, 0, 0, False)
+
     mr = sibling_merge(g)
     h = mr.graph
-
-    if is_caterpillar_forest(h):
-        witness = _expand_witness(mr, _caterpillar_drawing(h), g)
-        return _ComponentOutcome(0, witness, 0, 0, 0, 0, False)
-
     lb = crossing_lower_bound(h)
     if lb > budget:
         return _ComponentOutcome(None, None, 0, 0, 0, 0, False)

@@ -25,6 +25,7 @@ from util import (
     exhaustive_connected_graphs,
     inject_sibling_leaves,
     random_connected_graph,
+    random_disconnected_graph,
     reference_bcr,
 )
 
@@ -39,6 +40,27 @@ def star(leaves: int) -> BipartiteGraph:
 
 # subdivision of the 3-star: center x0, each arm x0-y_i-x_{i+1}
 SPIDER = (4, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1), (3, 2)])
+
+
+def disconnected_graphs() -> list[BipartiteGraph]:
+    """200 seeded graphs with two or more components, plus fixed cases:
+    isolated vertices on one or both sides and an empty side."""
+    rng = random.Random(23)
+    graphs = [
+        build_graph(3, 0, []),
+        build_graph(0, 2, []),
+        build_graph(3, 3, [(0, 0), (1, 1)]),  # x2 and y2 isolated
+        build_graph(2, 3, [(0, 0), (0, 1), (1, 0), (1, 1)]),  # C4 and y2
+    ]
+    for _ in range(200):
+        a, b, edges = random_disconnected_graph(rng)
+        graphs.append(BipartiteGraph(a, b, tuple(edges)))
+    return graphs
+
+
+def isolated(g: BipartiteGraph) -> tuple[bool, bool]:
+    """Whether g has an isolated X vertex, and an isolated Y vertex."""
+    return not all(g.x_adj), not all(g.y_adj)
 
 
 class TestBuildGraph:
@@ -122,6 +144,13 @@ class TestComponents:
         assert is_connected(c4())
         assert not is_connected(build_graph(2, 2, [(0, 0), (1, 1)]))
         assert is_connected(build_graph(1, 0, []))
+        assert is_connected(build_graph(0, 0, []))
+        graphs = disconnected_graphs()
+        for g in graphs:
+            assert is_connected(g) == (len(split_components(g)) <= 1)
+        # the inputs cover isolated vertices on each side and empty sides
+        assert sum(isolated(g) == (True, True) for g in graphs) >= 20
+        assert sum(0 in (g.x_count, g.y_count) for g in graphs) >= 10
 
 
 class TestSiblingPairs:
@@ -202,6 +231,11 @@ class TestLowerBound:
             g = BipartiteGraph(a, b, tuple(edges))
             assert crossing_lower_bound(g) <= reference_bcr(a, b, edges)
 
+    def test_counts_every_component(self):
+        for g in disconnected_graphs():
+            c = len(split_components(g))
+            assert crossing_lower_bound(g) == max(0, g.m - g.n + c)
+
 
 class TestCaterpillar:
     def test_paths_are_caterpillars(self):
@@ -231,6 +265,13 @@ class TestCaterpillar:
         for a, b, edges in exhaustive_connected_graphs(3, 3):
             g = BipartiteGraph(a, b, tuple(edges))
             assert is_caterpillar_forest(g) == (reference_bcr(a, b, edges) == 0)
+
+    def test_forest_iff_every_component_draws_without_crossings(self):
+        for g in disconnected_graphs():
+            parts = [part.graph for part in split_components(g)]
+            assert is_caterpillar_forest(g) == all(
+                reference_bcr(h.x_count, h.y_count, h.edges) == 0 for h in parts
+            )
 
     def test_matches_zero_crossing_graphs_random(self):
         rng = random.Random(17)

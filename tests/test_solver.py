@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import bicross.graph as graph_mod
 import bicross.solver as solver_mod
 from bicross import (
     BipartiteGraph,
@@ -25,11 +26,15 @@ from bicross import (
     crossing_lower_bound,
     crossing_number_fast,
     find_sibling_pairs,
+    is_caterpillar_forest,
+    sibling_merge,
     split_components,
 )
 from bicross.limits import Limits
 from util import (
+    connected_graph_classes,
     inject_sibling_leaves,
+    random_caterpillar,
     random_connected_graph,
     reference_bcr,
 )
@@ -147,6 +152,49 @@ class TestComponentSolve:
         assert value == 0
         assert witness.graph == g
         assert len(witness.fy.ranks) == 7
+
+
+class TestCaterpillarFastPath:
+    """The caterpillar test runs on the component itself, before the merge."""
+
+    def graphs(self):
+        fixed = [
+            star(4),  # centred on X
+            build_graph(4, 1, [(x, 0) for x in range(4)]),  # centred on Y
+            build_graph(1, 1, [(0, 0)]),  # lone edge
+            build_graph(1, 0, []),
+            build_graph(0, 1, []),
+            build_graph(1, 2, [(0, 0), (0, 1)]),  # P3 centred on X
+            build_graph(2, 1, [(0, 0), (1, 0)]),  # P3 centred on Y
+        ]
+        classes = [BipartiteGraph(a, b, tuple(e)) for a, b, e in connected_graph_classes(4, 4)]
+        rng = random.Random(31)
+        caterpillars = [BipartiteGraph(*random_caterpillar(rng)) for _ in range(200)]
+        for g in caterpillars:
+            assert find_sibling_pairs(g)
+        return fixed + classes + caterpillars
+
+    def test_merge_does_not_change_the_answer_or_the_witness(self):
+        caterpillars = 0
+        for g in self.graphs():
+            mr = sibling_merge(g)
+            assert is_caterpillar_forest(g) == is_caterpillar_forest(mr.graph)
+            if not is_caterpillar_forest(g):
+                continue
+            caterpillars += 1
+            drawing = solver_mod._caterpillar_drawing(g)
+            assert drawing.graph == g
+            assert crossing_number_fast(drawing) == 0
+            # the merged graph's drawing, expanded, is the same witness
+            merged = solver_mod._caterpillar_drawing(mr.graph)
+            assert solver_mod._expand_witness(mr, merged, g) == drawing
+        assert caterpillars >= 240
+
+    def test_walk_starts_at_the_first_spine_end(self):
+        # P4 x0-y0-x1-y1: the spine ends are x1 and y0, and X comes first
+        g = build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
+        drawing = bcr_decide(g, 0).witness
+        assert (drawing.fx.ranks, drawing.fy.ranks) == ((1, 0), (1, 0))
 
 
 class TestDecide:
@@ -297,6 +345,29 @@ class TestExact:
                 value - crossing_lower_bound(part.graph) for part, value in parts
             )
             assert len(calls) <= ceiling
+
+    def test_one_split_per_solve(self, monkeypatch):
+        calls = []
+        for module in (solver_mod, graph_mod):
+            real = module.split_components
+
+            def counting(g, real=real):
+                calls.append(g)
+                return real(g)
+
+            monkeypatch.setattr(module, "split_components", counting)
+        g = random_union(random.Random(37), 20, max_n=7)
+        parts = [part.graph for part in split_components(g)]
+        assert len(parts) == 20
+        assert any(is_caterpillar_forest(h) for h in parts)
+        assert not all(is_caterpillar_forest(h) for h in parts)
+        calls.clear()
+        report = bcr_exact(g, 200)
+        assert report.decision == "yes"
+        assert len(calls) == 1
+        calls.clear()
+        assert bcr_decide(g, report.optimum).decision == "yes"
+        assert len(calls) == 1
 
     def test_empty_graph(self):
         report = bcr_exact(build_graph(0, 0, []), 5)

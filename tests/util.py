@@ -236,3 +236,61 @@ def connected_graph_classes(max_a: int, max_b: int):
                 edges = [(x, y, 1) for x in range(a) for y in range(b) if rows[x] >> y & 1]
                 if is_connected_triple(a, b, edges):
                     yield a, b, edges
+
+
+def random_caterpillar(rng, max_spine: int = 8, max_leaves: int = 3) -> Triple:
+    """Random caterpillar with at least one pair of sibling leaves.
+
+    A spine path of 1..max_spine vertices alternates sides from a random
+    starting side; each spine vertex gets 0..max_leaves leaves on the other
+    side, one of them at least two.  Labels are shuffled within each side.
+    """
+    spine = rng.randint(1, max_spine)
+    on_x = rng.random() < 0.5
+    counts = {True: 0, False: 0}  # next free index per side, keyed by "is X"
+    ids = []
+    for i in range(spine):
+        side = on_x if i % 2 == 0 else not on_x
+        ids.append((side, counts[side]))
+        counts[side] += 1
+    pairs = [((u, v) if su else (v, u)) for (su, u), (_, v) in zip(ids, ids[1:])]
+    leaves = [rng.randint(0, max_leaves) for _ in ids]
+    leaves[rng.randrange(spine)] = rng.randint(2, max(2, max_leaves))
+    for (side, v), count in zip(ids, leaves):
+        for _ in range(count):
+            leaf = counts[not side]
+            counts[not side] += 1
+            pairs.append((v, leaf) if side else (leaf, v))
+    a, b = counts[True], counts[False]
+    px = rng.sample(range(a), a)
+    py = rng.sample(range(b), b)
+    return a, b, sorted((px[x], py[y], 1) for x, y in pairs)
+
+
+def random_disconnected_graph(rng, max_block_side: int = 3, edge_prob: float = 0.7) -> Triple:
+    """Rejection-sample a graph with at least two components.
+
+    Two or three blocks, each with 0..max_block_side vertices per side,
+    joined only within a block, each pair with probability edge_prob; the
+    labels are shuffled within each side.  So some graphs have an empty
+    side, many have isolated vertices, and many blocks have cycles.
+    """
+    while True:
+        a = b = 0
+        pairs = []
+        for _ in range(rng.randint(2, 3)):
+            ba = rng.randint(0, max_block_side)
+            bb = rng.randint(0, max_block_side)
+            pairs += [
+                (a + x, b + y)
+                for x in range(ba)
+                for y in range(bb)
+                if rng.random() < edge_prob
+            ]
+            a += ba
+            b += bb
+        px = rng.sample(range(a), a)
+        py = rng.sample(range(b), b)
+        edges = sorted((px[x], py[y], 1) for x, y in pairs)
+        if not is_connected_triple(a, b, edges):
+            return a, b, edges
