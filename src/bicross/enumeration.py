@@ -38,6 +38,16 @@ the graph is connected and free of sibling pairs.  The mechanism:
    exceeds k.  A layout of a drawing with at most k crossings has a bound
    of at most k, so no such layout is lost.
 
+5. The stream is therefore exactly the layouts with gap total at most
+   4k + a - 1 on the spine and one-sided bound at most k, and that set is
+   closed under reversal.  Reversing a layout (rank r -> a - 1 - r) keeps
+   every |rank(x) - rank(T(x))|, hence every gap, and swaps c_uv with
+   c_vu for every pair, hence keeps the bound.  So the walk only visits
+   root ranks r <= (a - 1) / 2 and emits each layout it reaches together
+   with its reversal, whose root rank is a - 1 - r.  When a is odd the
+   middle root rank is its own mirror: its walk already reaches both
+   layouts of every mirror pair, so it emits them unmirrored.
+
 Sides of size at most 1 have a single layout and are handled by the
 solver directly; the machinery here requires a side of 2 or more.
 """
@@ -359,7 +369,15 @@ def enumerate_candidates(
     at a leaf that sum is the full one-sided bound.  The bound can never
     exceed half the total crossable weight, so when that half is at most
     k the walk does not track it.  Distinct surviving branches assign
-    some vertex distinct ranks, hence the stream has no duplicates.
+    some vertex distinct ranks, hence the walk has no duplicates.
+
+    Reversal keeps both the gaps and the bound (module docstring, step
+    5), so only root ranks up to (a - 1) / 2 are walked and each layout
+    found is followed by its reversal, except at the middle root rank of
+    an odd side, whose walk holds both layouts of each mirror pair.  A
+    reversal has its root on a rank that is never walked, so it repeats
+    nothing.  The max_candidates_per_side check counts every layout
+    streamed, reversals included.
     """
     a = g.side_count(side)
     budget = gap_budget(a, k)
@@ -377,20 +395,12 @@ def enumerate_candidates(
 
     ranks = [0] * a
     used = [False] * a
-    emitted = 0
 
     def walk(
         depth: int, remaining: int, lo: list[int], hi: list[int], bound: int
-    ) -> Iterator[Layout]:
-        nonlocal emitted
+    ) -> Iterator[tuple[int, ...]]:
         if depth == a:
-            emitted += 1
-            if emitted > limits.max_candidates_per_side:
-                raise ResourceLimitError(
-                    "candidate stream exceeds max_candidates_per_side="
-                    f"{limits.max_candidates_per_side}"
-                )
-            yield Layout(side, tuple(ranks))
+            yield tuple(ranks)
             return
         x = order[depth]
         placed = order[:depth]
@@ -427,10 +437,21 @@ def enumerate_candidates(
 
     root = order[0]
     zeros = [0] * pairs
-    for root_rank in range(a):
+    top = a - 1
+    emitted = 0
+    for root_rank in range(top // 2 + 1):
+        mirror = 2 * root_rank != top  # the middle rank is its own mirror
         ranks[root] = root_rank
         used[root_rank] = True
-        yield from walk(1, budget, zeros, zeros, 0)
+        for found in walk(1, budget, zeros, zeros, 0):
+            for out in (found, tuple(top - r for r in found)) if mirror else (found,):
+                emitted += 1
+                if emitted > limits.max_candidates_per_side:
+                    raise ResourceLimitError(
+                        "candidate stream exceeds max_candidates_per_side="
+                        f"{limits.max_candidates_per_side}"
+                    )
+                yield Layout(side, out)
         used[root_rank] = False
 
 

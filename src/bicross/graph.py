@@ -133,6 +133,23 @@ class BipartiteGraph:
         return all(w == 1 for x, y, w in self.edges if not self.is_leaf_edge(x, y))
 
 
+def _derived_graph(
+    x_count: int, y_count: int, edges: tuple[tuple[int, int, int], ...]
+) -> BipartiteGraph:
+    """A graph made from parts of a validated one, skipping re-validation.
+
+    Only for split_components and sibling_merge, whose edges come from a
+    valid graph: a sorted tuple of in-range (x, y, weight) triples with
+    positive weights and no duplicates.  Outside input goes through
+    BipartiteGraph(...) or build_graph, which check everything.
+    """
+    g = object.__new__(BipartiteGraph)
+    object.__setattr__(g, "x_count", x_count)
+    object.__setattr__(g, "y_count", y_count)
+    object.__setattr__(g, "edges", edges)
+    return g
+
+
 def build_graph(
     x_count: int,
     y_count: int,
@@ -243,7 +260,7 @@ def split_components(g: BipartiteGraph) -> list[GraphComponent]:
         buckets[comp[x]].append((local[x], local[g.x_count + y], w))
     return [
         GraphComponent(
-            BipartiteGraph(len(xs), len(ys), tuple(edges)), tuple(xs), tuple(ys)
+            _derived_graph(len(xs), len(ys), tuple(edges)), tuple(xs), tuple(ys)
         )
         for (xs, ys), edges in zip(sides, buckets)
     ]
@@ -337,7 +354,7 @@ def sibling_merge(g: BipartiteGraph) -> MergeResult:
         key = (new_x[x_redirect.get(x, x)], new_y[y_redirect.get(y, y)])
         weights[key] = weights.get(key, 0) + w
 
-    merged = BipartiteGraph(
+    merged = _derived_graph(
         len(keep_x),
         len(keep_y),
         tuple((x, y, w) for (x, y), w in sorted(weights.items())),

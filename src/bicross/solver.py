@@ -432,9 +432,17 @@ class _ComponentOutcome:
 
 
 def _solve_component(
-    g: BipartiteGraph, budget: int, limits: Limits, threads: int
+    g: BipartiteGraph, budgets: range, limits: Limits, threads: int
 ) -> _ComponentOutcome:
-    """Optimum of the connected graph g if it is at most budget.
+    """Optimum of the connected graph g if it is at most budgets[-1].
+
+    budgets is the ascending run lo..hi to try: one budget for a decision
+    (lo = hi), the whole ascent for an exact solve (lo = 0).  The search
+    stops at the first budget whose best candidate pair fits it; the
+    streams hold every drawing within that budget, so that pair's count
+    is the optimum.  The set-up below runs once per call; only
+    enumeration and pair search repeat per budget, and the outcome's
+    counts add up over every budget tried.
 
     Caterpillars are answered 0 on g itself, before any merge, with the
     outcome the merged graph would give.  The sibling merge preserves bcr
@@ -445,8 +453,10 @@ def _solve_component(
     place of their representative, the smallest of them.  So the spine
     walk of _caterpillar_drawing on g lays out the witness that the walk
     on the merged graph, expanded, would.  Every other component is
-    merged, rejected when its lower bound m - n + 1 exceeds the budget,
-    and otherwise searched over candidate pairs.
+    merged, rejected when its lower bound m - n + 1 exceeds hi, and
+    otherwise searched over candidate pairs from budget max(lo, lower
+    bound) up.  Y is enumerated only when the X stream is non-empty: an
+    empty X stream already proves the optimum exceeds the budget.
     """
     if is_caterpillar_forest(g):
         return _ComponentOutcome(0, _caterpillar_drawing(g), 0, 0, 0, 0, False)
@@ -454,36 +464,41 @@ def _solve_component(
     mr = sibling_merge(g)
     h = mr.graph
     lb = crossing_lower_bound(h)
-    if lb > budget:
+    hi = budgets[-1]
+    if lb > hi:
         return _ComponentOutcome(None, None, 0, 0, 0, 0, False)
 
     # the optimum is at most any drawing's count, so a larger budget admits
     # no further optimal pair; the cap keeps the gap budget 4k + a - 1 small
-    budget = min(budget, crossing_number_fast(identity_drawing(h)))
-    x_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.X, budget, limits))
-    y_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.Y, budget, limits))
-    if not x_layouts or not y_layouts:
-        # no layout of some side fits a drawing within budget
-        return _ComponentOutcome(
-            None, None, len(x_layouts), len(y_layouts), 0, 0, True
-        )
-    pairs_total = len(x_layouts) * len(y_layouts)
-    if pairs_total > limits.max_pair_evaluations:
-        raise ResourceLimitError(
-            f"candidate-pair search: {pairs_total} pairs exceeds "
-            f"max_pair_evaluations={limits.max_pair_evaluations}"
-        )
-    best, bi, bj, evaluated = _pair_search(h, x_layouts, y_layouts, lb, threads)
-    pruned = pairs_total - evaluated
-    if best <= budget:
-        witness_h = drawing_from_ranks(h, x_layouts[bi], y_layouts[bj])
-        witness = _expand_witness(mr, witness_h, g)
-        return _ComponentOutcome(
-            best, witness, len(x_layouts), len(y_layouts), evaluated, pruned, True
-        )
-    # every candidate pair costs more than the budget, so the optimum does too
+    cap = crossing_number_fast(identity_drawing(h))
+    candidates_x = candidates_y = pairs_evaluated = pruned = 0
+    for budget in range(max(min(budgets[0], cap), lb), min(hi, cap) + 1):
+        x_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.X, budget, limits))
+        candidates_x += len(x_layouts)
+        if not x_layouts:
+            continue  # no X layout fits a drawing within budget
+        y_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.Y, budget, limits))
+        candidates_y += len(y_layouts)
+        if not y_layouts:
+            continue
+        pairs_total = len(x_layouts) * len(y_layouts)
+        if pairs_total > limits.max_pair_evaluations:
+            raise ResourceLimitError(
+                f"candidate-pair search: {pairs_total} pairs exceeds "
+                f"max_pair_evaluations={limits.max_pair_evaluations}"
+            )
+        best, bi, bj, evaluated = _pair_search(h, x_layouts, y_layouts, lb, threads)
+        pairs_evaluated += evaluated
+        pruned += pairs_total - evaluated
+        if best <= budget:
+            witness_h = drawing_from_ranks(h, x_layouts[bi], y_layouts[bj])
+            witness = _expand_witness(mr, witness_h, g)
+            return _ComponentOutcome(
+                best, witness, candidates_x, candidates_y, pairs_evaluated, pruned, True
+            )
+        # every candidate pair costs more than the budget, so the optimum does too
     return _ComponentOutcome(
-        None, None, len(x_layouts), len(y_layouts), evaluated, pruned, True
+        None, None, candidates_x, candidates_y, pairs_evaluated, pruned, True
     )
 
 
@@ -503,7 +518,7 @@ def bcr_component(
         raise ValueError("budget must be non-negative")
     if not is_connected(g):
         raise GraphError("bcr_component requires a connected graph")
-    out = _solve_component(g, budget, limits, threads)
+    out = _solve_component(g, range(budget, budget + 1), limits, threads)
     if out.value is not None and (
         out.witness is None or crossing_number_fast(out.witness) != out.value
     ):
@@ -524,9 +539,9 @@ def _solve_components(
     """Solve the components of g in order against the budget k they share.
 
     Each component gets the budget left over from its predecessors'
-    optima.  Without ascend it is solved once at that budget; with
-    ascend it is solved at its lower bound m - n + 1, then one more, and
-    so on up to that budget, stopping at the first budget that admits a
+    optima, in one _solve_component call.  Without ascend it is solved at
+    that budget alone; with ascend at every budget from its lower bound
+    m - n + 1 up to that one, stopping at the first that admits a
     drawing, which is then its optimum.  The search either way stops at
     the first component whose optimum exceeds its budget.  A "yes"
     report carries k itself, or the summed optimum with ascend; stats
@@ -537,14 +552,10 @@ def _solve_components(
     solved: list[tuple[GraphComponent, Drawing]] = []
     remaining = k
     for part in parts:
-        start = crossing_lower_bound(part.graph) if ascend else remaining
-        out = None
-        for budget in range(start, remaining + 1):
-            out = _solve_component(part.graph, budget, limits, threads)
-            outcomes.append(out)
-            if out.value is not None:
-                break
-        if out is None or out.value is None:
+        budgets = range(0 if ascend else remaining, remaining + 1)
+        out = _solve_component(part.graph, budgets, limits, threads)
+        outcomes.append(out)
+        if out.value is None:
             break
         remaining -= out.value
         assert out.witness is not None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -27,6 +28,8 @@ from bicross import (
 from bicross.limits import Limits
 from util import (
     all_drawings,
+    has_sibling_pair,
+    one_sided_bound,
     random_connected_graph,
     random_sibling_free_graph,
     reference_crossings,
@@ -196,6 +199,95 @@ class TestEnumerate:
         tiny = Limits(max_candidates_per_side=1)
         with pytest.raises(ResourceLimitError, match="max_candidates_per_side"):
             list(enumerate_candidates(c4(), Side.X, 1, tiny))
+
+
+def cycle_with_path(c, tail, rng):
+    """C_2c with a path of tail edges hung on x0, labels shuffled per side.
+
+    With c = 0 there is no cycle and the graph is a path of tail edges.
+    """
+    a, b = max(c, 1), c
+    pairs = [(i, i) for i in range(c)] + [((i + 1) % c, i) for i in range(c)]
+    end, on_x = 0, True
+    for _ in range(tail):
+        if on_x:
+            pairs.append((end, b))
+            end, b = b, b + 1
+        else:
+            pairs.append((a, end))
+            end, a = a, a + 1
+        on_x = not on_x
+    px = rng.sample(range(a), a)
+    py = rng.sample(range(b), b)
+    return a, b, sorted((px[x], py[y], 1) for x, y in pairs)
+
+
+def mirror_cases():
+    """(graph, edges, side): one side of each size 2..7 per family.
+
+    The families are paths, C4 with a tail and C6 with a tail (crossing
+    numbers 0, 1 and 2; a C6 side has at least 3 vertices), all free of
+    sibling pairs, so their streams at k <= 3 are not empty.
+    """
+    rng = random.Random(131)
+    cases = []
+    for c, tails in ((0, range(3, 14)), (2, range(0, 11)), (3, range(0, 9))):
+        sizes = set(range(max(2, c), 8))
+        for tail in tails:
+            a, b, edges = cycle_with_path(c, tail, rng)
+            assert not has_sibling_pair(a, b, edges)
+            g = BipartiteGraph(a, b, tuple(edges))
+            for side, size in ((Side.X, a), (Side.Y, b)):
+                if size in sizes:
+                    sizes.discard(size)
+                    cases.append((g, edges, side))
+        assert not sizes
+    return cases
+
+
+MIRROR_CASES = mirror_cases()
+
+
+class TestMirroredWalk:
+    """The half walk plus mirrors against a filter over all a! layouts."""
+
+    def test_stream_is_exactly_the_filtered_permutations(self):
+        middle_root_layouts = {3: 0, 5: 0, 7: 0}
+        for g, edges, side in MIRROR_CASES:
+            a = g.side_count(side)
+            spine = build_spine(g, side, root=0)
+            # gap total and one-sided bound of every layout, from the definitions
+            scored = [
+                (
+                    perm,
+                    encoding_from_layout(spine, Layout(side, perm)).gap_total(),
+                    one_sided_bound(edges, side is Side.X, perm),
+                )
+                for perm in permutations(range(a))
+            ]
+            for k in range(4):
+                want = {p for p, gaps, bound in scored if gaps <= gap_budget(a, k) and bound <= k}
+                stream = [l.ranks for l in enumerate_candidates(g, side, k)]
+                assert len(stream) == len(set(stream)), (edges, side, k)
+                assert set(stream) == want, (edges, side, k)
+                if a % 2:
+                    middle_root_layouts[a] += sum(p[spine.root] == (a - 1) // 2 for p in want)
+        # the middle root rank of odd sides, which is not mirrored, is exercised
+        assert all(middle_root_layouts.values()), middle_root_layouts
+
+    def test_candidate_limit_counts_mirrors(self):
+        checked = 0
+        for g, edges, side in MIRROR_CASES:
+            size = len(list(enumerate_candidates(g, side, 1)))
+            if size < 2:
+                continue
+            exact = Limits(max_candidates_per_side=size)
+            assert len(list(enumerate_candidates(g, side, 1, exact))) == size
+            short = Limits(max_candidates_per_side=size - 1)
+            with pytest.raises(ResourceLimitError, match="max_candidates_per_side"):
+                list(enumerate_candidates(g, side, 1, short))
+            checked += 1
+        assert checked >= 6
 
 
 class TestCountBound:

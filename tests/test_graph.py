@@ -153,6 +153,36 @@ class TestComponents:
         assert sum(0 in (g.x_count, g.y_count) for g in graphs) >= 10
 
 
+class TestDerivedGraphs:
+    """split_components and sibling_merge skip re-validation of their output."""
+
+    def graphs(self) -> list[BipartiteGraph]:
+        rng = random.Random(29)
+        connected = []
+        for _ in range(100):
+            a, b, edges = random_connected_graph(rng, leaf_weights=True)
+            connected.append(BipartiteGraph(a, b, tuple(edges)))
+            a, b, edges = inject_sibling_leaves(rng, random_connected_graph(rng, max_n=7))
+            connected.append(BipartiteGraph(a, b, tuple(edges)))
+        return connected + disconnected_graphs()
+
+    def test_equal_to_validated_rebuilds(self):
+        graphs = self.graphs()
+        merged = [sibling_merge(g).graph for g in graphs]
+        derived = list(merged)
+        for g in graphs:
+            parts = [part.graph for part in split_components(g)]
+            derived += parts + [sibling_merge(h).graph for h in parts]
+        for h in derived:
+            rebuilt = BipartiteGraph(h.x_count, h.y_count, h.edges)
+            assert h == rebuilt
+            assert type(h.edges) is tuple and all(type(e) is tuple for e in h.edges)
+            assert (h.x_adj, h.y_adj, h.weight) == (rebuilt.x_adj, rebuilt.y_adj, rebuilt.weight)
+        # the inputs do exercise both: leaves were merged, components split off
+        assert sum(h.m < g.m for g, h in zip(graphs, merged)) >= 50
+        assert len(derived) > 3 * len(graphs)
+
+
 class TestSiblingPairs:
     def test_star_has_all_leaf_pairs(self):
         assert len(find_sibling_pairs(star(5))) == 10

@@ -17,6 +17,7 @@ from bicross import (
     BipartiteGraph,
     GraphError,
     ResourceLimitError,
+    Side,
     bcr_bruteforce,
     bcr_component,
     bcr_decide,
@@ -70,6 +71,10 @@ def component_optima(g):
         (part, reference_bcr(part.graph.x_count, part.graph.y_count, part.graph.edges))
         for part in split_components(g)
     ]
+
+
+def c12():
+    return build_graph(6, 6, [(i, i) for i in range(6)] + [((i + 1) % 6, i) for i in range(6)])
 
 
 SPIDER = build_graph(4, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1), (3, 2)])
@@ -346,6 +351,52 @@ class TestExact:
             )
             assert len(calls) <= ceiling
 
+    def test_setup_once_per_component(self, monkeypatch):
+        # the ascent repeats only enumeration and pair search, not the
+        # caterpillar test, merge, lower bound or identity-drawing count
+        calls = {}
+        for name in ("is_caterpillar_forest", "sibling_merge", "crossing_lower_bound", "identity_drawing"):
+            real = getattr(solver_mod, name)
+
+            def counting(g, real=real, name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return real(g)
+
+            monkeypatch.setattr(solver_mod, name, counting)
+        k23 = build_graph(2, 3, [(i, j) for i in range(2) for j in range(3)])
+        graphs = [k33(), c12(), SPIDER, k23] + [
+            random_union(random.Random(seed), 3, max_n=7) for seed in range(101, 111)
+        ]
+        ascents = 0
+        for g in graphs:
+            parts = [part.graph for part in split_components(g)]
+            enumerated = sum(not is_caterpillar_forest(h) for h in parts)
+            ascents += sum(bcr_component(h, 40)[0] > crossing_lower_bound(h) for h in parts)
+            calls.clear()
+            assert bcr_exact(g, 40).decision == "yes"
+            assert calls.get("is_caterpillar_forest") == len(parts)
+            for name in ("sibling_merge", "crossing_lower_bound", "identity_drawing"):
+                assert calls.get(name, 0) == enumerated, (name, calls)
+        # some components take more than one budget to solve
+        assert ascents >= 5
+
+    def test_stats_add_up_over_the_ascent(self):
+        # exact's counts are those of deciding each budget from the lower bound up
+        rng = random.Random(107)
+        graphs = [k33(), c12(), SPIDER]
+        while len(graphs) < 15:
+            a, b, edges = random_connected_graph(rng, max_n=9, leaf_weights=True)
+            g = BipartiteGraph(a, b, tuple(edges))
+            if not is_caterpillar_forest(g):
+                graphs.append(g)
+        for g in graphs:
+            report = bcr_exact(g, 20)
+            assert report.decision == "yes"
+            decided = [bcr_decide(g, k).stats for k in range(crossing_lower_bound(g), report.optimum + 1)]
+            for field in ("candidates_x", "candidates_y", "pairs_evaluated", "pruned"):
+                want = sum(getattr(stats, field) for stats in decided)
+                assert getattr(report.stats, field) == want, (g, field)
+
     def test_one_split_per_solve(self, monkeypatch):
         calls = []
         for module in (solver_mod, graph_mod):
@@ -435,6 +486,42 @@ class TestExact:
                 assert report.optimum == want
             else:
                 assert report.decision == "no"
+
+
+class TestSkippedYWalk:
+    """Y is enumerated only when the X stream has candidates."""
+
+    def spy(self, monkeypatch):
+        sides = []
+        real = solver_mod.enumerate_candidates
+
+        def spying(g, side, k, limits):
+            sides.append(side)
+            return real(g, side, k, limits)
+
+        monkeypatch.setattr(solver_mod, "enumerate_candidates", spying)
+        return sides
+
+    def test_empty_x_stream_skips_y(self, monkeypatch):
+        sides = self.spy(monkeypatch)
+        # C12 has crossing number 5: at k = 4 no X layout survives the bound
+        report = bcr_decide(c12(), 4)
+        assert sides == [Side.X]
+        assert (report.decision, report.optimum, report.witness) == ("no", None, None)
+        assert (report.stats.candidates_x, report.stats.candidates_y) == (0, 0)
+        sides.clear()
+        # the ascent from the lower bound 1 finds X candidates only at 5
+        assert bcr_exact(c12(), 8).optimum == 5
+        assert sides == [Side.X] * 5 + [Side.Y]
+
+    def test_yes_enumerates_both_sides(self, monkeypatch):
+        sides = self.spy(monkeypatch)
+        c8 = build_graph(4, 4, [(i, i) for i in range(4)] + [((i + 1) % 4, i) for i in range(4)])
+        report = bcr_decide(c8, 3)
+        assert sides == [Side.X, Side.Y]
+        assert (report.decision, report.optimum) == ("yes", 3)
+        assert report.stats.candidates_y > 0
+        assert report.witness == bcr_bruteforce(c8)[1]
 
 
 class TestSelfCheck:
