@@ -39,7 +39,6 @@ from .graph import (
     Side,
     VertexId,
     build_graph,
-    connected_components,
     crossing_lower_bound,
     find_sibling_pairs,
     is_caterpillar_forest,
@@ -89,7 +88,6 @@ __all__ = [
     "build_graph",
     "build_spine",
     "census",
-    "connected_components",
     "count_bound",
     "crossing_lower_bound",
     "crossing_number_fast",

@@ -318,7 +318,7 @@ def _emit_report(args: argparse.Namespace, doc: dict, report: SolveReport | None
 def _cmd_decide(args: argparse.Namespace) -> int:
     g = parse_graph(args.file, args.format)
     start = time.perf_counter()
-    report = bcr_decide(g, args.k, limits=_limits(args), threads=args.threads)
+    report = bcr_decide(g, args.k, limits=_limits(args))
     ms = int((time.perf_counter() - start) * 1000)
     _emit_report(args, solve_document(args.file, g, report, ms), report)
     return 0
@@ -327,7 +327,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = parse_graph(args.file, args.format)
     start = time.perf_counter()
-    report = bcr_exact(g, args.kmax, limits=_limits(args), threads=args.threads)
+    report = bcr_exact(g, args.kmax, limits=_limits(args))
     ms = int((time.perf_counter() - start) * 1000)
     _emit_report(args, solve_document(args.file, g, report, ms), report)
     return 0
@@ -369,7 +369,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
         "--threads",
         type=_positive_int,
         default=1,
-        help="worker threads for the pair search",
+        help="accepted for compatibility; has no effect (the search is single-threaded)",
     )
 
 

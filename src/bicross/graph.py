@@ -266,11 +266,6 @@ def split_components(g: BipartiteGraph) -> list[GraphComponent]:
     ]
 
 
-def connected_components(g: BipartiteGraph) -> list[BipartiteGraph]:
-    """The connected components as densely re-indexed graphs (see split_components)."""
-    return [part.graph for part in split_components(g)]
-
-
 # -- sibling leaves --------------------------------------------------------
 
 

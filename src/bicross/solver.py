@@ -20,14 +20,24 @@ sign (+1/-1) for the rank order of the two endpoints on its layer, and
 the pair crosses exactly when the two layers disagree.  With U and V the
 per-side sign matrices and w the pairwise weight products, the count for
 candidate pair (i, j) is (sum(w) - (U_i * w) . V_j) / 2, so a whole block
-of counts is one matrix product.  Entries are integer-valued and stay
-below 2^53, keeping float64 arithmetic exact; the code falls back to a
-scalar counter if the weight mass ever gets that large.
+of counts is one matrix product.
+
+The products are exact in float64 because each weight product is first
+clamped to budget + 1, in Python integers.  A pair of candidates whose
+true count is at most the budget has no crossing term above the budget,
+so its clamped count equals its true count; any other pair either keeps
+its true count or carries a clamped term of budget + 1, so its clamped
+count also exceeds the budget.  The lexicographically first minimum is
+therefore unchanged whenever it fits the budget, and the early exit at
+the lower bound (never above the budget) fires in the same chunk.  All
+partial sums stay within the clamped mass, which is checked to be below
+2^53.  With the default gap-budget cap the budget is at most 128, so the
+mass is at most 129 per crossable pair and only a raised cap combined with
+huge weights can reach 2^53.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -58,7 +68,6 @@ from .graph import (
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 
 _PAIR_CHUNK_ROWS = 2048
-_FLOAT_EXACT_LIMIT = 1 << 53  # largest weight mass safe for float64 matmul
 
 
 class SelfCheckError(RuntimeError):
@@ -330,26 +339,30 @@ def _pair_search(
     x_layouts: list[tuple[int, ...]],
     y_layouts: list[tuple[int, ...]],
     exit_at: int,
-    threads: int,
+    budget: int,
 ) -> tuple[int, int, int, int]:
-    """Minimum crossing count over the candidate cross product.
+    """Minimum crossing count over the candidate cross product, within budget.
 
-    Returns (best, best_x_index, best_y_index, pairs_evaluated) where the
-    index pair is the lexicographically first attaining the minimum; the
-    candidate lists must be sorted and non-empty.  Stops early once a count
-    at most exit_at (a proven lower bound) appears: enumeration order is
-    row-major over the sorted lists, so the first such hit is also the
-    tie-break winner.  Evaluation proceeds in fixed chunks of X candidates;
-    threads only spread the chunks of one wave, whose results are taken in
-    chunk order up to the first chunk reaching exit_at (later chunks cannot
-    win: exit_at is a lower bound and ties go to the earlier chunk), so the
-    outcome and pairs_evaluated are identical for every thread count.
+    Returns (best, best_x_index, best_y_index, pairs_evaluated).  When the
+    minimum is at most budget, best is that minimum and the index pair is
+    the lexicographically first attaining it; otherwise best is some value
+    above budget (the counts are clamped, see the module docstring).  The
+    candidate lists must be sorted and non-empty, and exit_at, a proven
+    lower bound, at most budget.  X candidates are evaluated in chunks of
+    _PAIR_CHUNK_ROWS, one after another on the calling thread (the threads
+    keyword of bcr_decide and bcr_exact is ignored: a thread pool measured
+    no faster), and the search stops after the first chunk that brings the
+    minimum down to exit_at: enumeration order is row-major over the
+    sorted lists, so that hit is also the tie-break winner.
     """
     x1, x2, y1, y2, wp = _crossable_pairs(g)
-    total_w = sum(wp)
-    if total_w >= _FLOAT_EXACT_LIMIT:
-        return _pair_search_scalar(g, x_layouts, y_layouts, exit_at)
-
+    wp = [min(w, budget + 1) for w in wp]
+    mass = sum(wp)
+    if mass >= 1 << 53:
+        raise ResourceLimitError(
+            f"candidate-pair search: weight mass {mass}, clamped at budget + 1 = "
+            f"{budget + 1}, reaches 2^53; use a smaller k or smaller edge weights"
+        )
     xi1 = np.asarray(x1, dtype=np.intp)
     xi2 = np.asarray(x2, dtype=np.intp)
     yi1 = np.asarray(y1, dtype=np.intp)
@@ -358,63 +371,22 @@ def _pair_search(
     xmat = np.asarray(x_layouts, dtype=np.int64).reshape(len(x_layouts), -1)
     ymat = np.asarray(y_layouts, dtype=np.int64).reshape(len(y_layouts), -1)
     vt = np.sign(ymat[:, yi1] - ymat[:, yi2]).astype(np.float64).T
-    mass = float(total_w)
     n_y = len(y_layouts)
 
-    def eval_chunk(start: int) -> tuple[int, float, int]:
+    best = mass + 1  # above every clamped count
+    best_flat = 0
+    evaluated = 0
+    for start in range(0, len(x_layouts), _PAIR_CHUNK_ROWS):
         stop = min(start + _PAIR_CHUNK_ROWS, len(x_layouts))
         u = np.sign(xmat[start:stop, xi1] - xmat[start:stop, xi2]).astype(np.float64)
         counts = (mass - (u * w) @ vt) * 0.5
         flat = int(np.argmin(counts))  # first minimum in row-major = lex order
-        return stop - start, float(counts.flat[flat]), start * n_y + flat
-
-    starts = list(range(0, len(x_layouts), _PAIR_CHUNK_ROWS))
-    best: float | None = None
-    best_flat = 0
-    evaluated = 0
-    pos = 0
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while pos < len(starts) and (best is None or best > exit_at):
-            wave = starts[pos : pos + max(1, threads)]
-            pos += len(wave)
-            if pool is not None:
-                results = [f.result() for f in [pool.submit(eval_chunk, s) for s in wave]]
-            else:
-                results = [eval_chunk(s) for s in wave]
-            for rows, cmin, cflat in results:
-                evaluated += rows * n_y
-                if best is None or cmin < best:
-                    best, best_flat = cmin, cflat
-                if best <= exit_at:
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-    assert best is not None
-    return int(best), best_flat // n_y, best_flat % n_y, evaluated
-
-
-def _pair_search_scalar(
-    g: BipartiteGraph,
-    x_layouts: list[tuple[int, ...]],
-    y_layouts: list[tuple[int, ...]],
-    exit_at: int,
-) -> tuple[int, int, int, int]:
-    """Pure-Python fallback with identical semantics to the vectorized path."""
-    best = None
-    best_i = best_j = 0
-    evaluated = 0
-    for i, xr in enumerate(x_layouts):
-        for j, yr in enumerate(y_layouts):
-            c = crossing_number_fast(drawing_from_ranks(g, xr, yr))
-            evaluated += 1
-            if best is None or c < best:
-                best, best_i, best_j = c, i, j
-                if best <= exit_at:
-                    return best, best_i, best_j, evaluated
-    assert best is not None
-    return best, best_i, best_j, evaluated
+        evaluated += (stop - start) * n_y
+        if counts.flat[flat] < best:
+            best, best_flat = int(counts.flat[flat]), start * n_y + flat
+        if best <= exit_at:
+            break
+    return best, best_flat // n_y, best_flat % n_y, evaluated
 
 
 # -- per-component pipeline ---------------------------------------------------
@@ -431,9 +403,7 @@ class _ComponentOutcome:
     enumerated: bool
 
 
-def _solve_component(
-    g: BipartiteGraph, budgets: range, limits: Limits, threads: int
-) -> _ComponentOutcome:
+def _solve_component(g: BipartiteGraph, budgets: range, limits: Limits) -> _ComponentOutcome:
     """Optimum of the connected graph g if it is at most budgets[-1].
 
     budgets is the ascending run lo..hi to try: one budget for a decision
@@ -487,7 +457,7 @@ def _solve_component(
                 f"candidate-pair search: {pairs_total} pairs exceeds "
                 f"max_pair_evaluations={limits.max_pair_evaluations}"
             )
-        best, bi, bj, evaluated = _pair_search(h, x_layouts, y_layouts, lb, threads)
+        best, bi, bj, evaluated = _pair_search(h, x_layouts, y_layouts, lb, budget)
         pairs_evaluated += evaluated
         pruned += pairs_total - evaluated
         if best <= budget:
@@ -506,7 +476,6 @@ def bcr_component(
     g: BipartiteGraph,
     budget: int,
     limits: Limits = DEFAULT_LIMITS,
-    threads: int = 1,
 ) -> tuple[int | None, Drawing | None]:
     """Exact crossing number of a connected graph, capped at budget.
 
@@ -518,7 +487,7 @@ def bcr_component(
         raise ValueError("budget must be non-negative")
     if not is_connected(g):
         raise GraphError("bcr_component requires a connected graph")
-    out = _solve_component(g, range(budget, budget + 1), limits, threads)
+    out = _solve_component(g, range(budget, budget + 1), limits)
     if out.value is not None and (
         out.witness is None or crossing_number_fast(out.witness) != out.value
     ):
@@ -533,7 +502,6 @@ def _solve_components(
     g: BipartiteGraph,
     k: int,
     limits: Limits,
-    threads: int,
     ascend: bool,
 ) -> SolveReport:
     """Solve the components of g in order against the budget k they share.
@@ -553,7 +521,7 @@ def _solve_components(
     remaining = k
     for part in parts:
         budgets = range(0 if ascend else remaining, remaining + 1)
-        out = _solve_component(part.graph, budgets, limits, threads)
+        out = _solve_component(part.graph, budgets, limits)
         outcomes.append(out)
         if out.value is None:
             break
@@ -591,11 +559,12 @@ def bcr_decide(
     removes crossings), so the crossing number is additive and the
     sequential allocation is exact: the answer is yes iff the summed
     component optima fit in k, and then the optimum and a composite
-    witness are reported.
+    witness are reported.  threads is accepted for compatibility and has
+    no effect: the pair search runs on the calling thread.
     """
     if k < 0:
         raise ValueError("crossing budget must be non-negative")
-    return _solve_components(g, k, limits, threads, ascend=False)
+    return _solve_components(g, k, limits, ascend=False)
 
 
 def bcr_exact(
@@ -615,10 +584,11 @@ def bcr_exact(
     Decision, optimum, k, method and witness are those of
     bcr_decide(g, min(bcr(g), k_max)): each component's witness is the
     lexicographically first optimal pair at every budget that admits it.
-    Stats add up over the component solves of the ascent.
+    Stats add up over the component solves of the ascent.  threads has
+    no effect, as in bcr_decide.
     """
     if k_max is None:
         k_max = limits.k_max_default
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    return _solve_components(g, k_max, limits, threads, ascend=True)
+    return _solve_components(g, k_max, limits, ascend=True)

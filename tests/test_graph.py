@@ -12,7 +12,6 @@ from bicross import (
     Side,
     VertexId,
     build_graph,
-    connected_components,
     crossing_lower_bound,
     find_sibling_pairs,
     is_caterpillar_forest,
@@ -101,12 +100,12 @@ class TestBuildGraph:
 class TestComponents:
     def test_two_disjoint_edges(self):
         g = build_graph(2, 2, [(0, 0), (1, 1)])
-        comps = connected_components(g)
+        comps = [p.graph for p in split_components(g)]
         assert len(comps) == 2
         assert all(c.m == 1 and c.n == 2 for c in comps)
 
     def test_connected_c4_is_identity(self):
-        assert connected_components(c4()) == [c4()]
+        assert [p.graph for p in split_components(c4())] == [c4()]
 
     def test_star_plus_isolated_y(self):
         g = build_graph(1, 4, [(0, j) for j in range(3)])  # y3 isolated

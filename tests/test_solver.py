@@ -10,6 +10,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bicross.graph as graph_mod
 import bicross.solver as solver_mod
@@ -26,6 +28,8 @@ from bicross import (
     census,
     crossing_lower_bound,
     crossing_number_fast,
+    drawing_from_ranks,
+    enumerate_candidates,
     find_sibling_pairs,
     is_caterpillar_forest,
     sibling_merge,
@@ -330,9 +334,9 @@ class TestExact:
         calls = []
         real = solver_mod._solve_component
 
-        def counting(g, budget, limits, threads):
-            calls.append(budget)
-            return real(g, budget, limits, threads)
+        def counting(*args, **kwargs):
+            calls.append(args[1])  # the budgets range
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(solver_mod, "_solve_component", counting)
         c4s = build_graph(
@@ -445,8 +449,8 @@ class TestExact:
         assert single.stats == multi.stats
 
     def test_stats_do_not_depend_on_threads(self, monkeypatch):
-        # one X candidate per chunk, so a wave of two chunks can hit the
-        # early exit in its first chunk
+        # one X candidate per chunk, so the early exit can stop the search
+        # after any chunk
         monkeypatch.setattr(solver_mod, "_PAIR_CHUNK_ROWS", 1)
         c4_tail = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]
         graphs = [
@@ -524,6 +528,105 @@ class TestSkippedYWalk:
         assert report.witness == bcr_bruteforce(c8)[1]
 
 
+def heavy_c4(w):
+    """C4 on x0, x1, y0, y1 plus pendant edges x1-y2 and x2-y1 of weight w."""
+    return build_graph(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2, w), (2, 1, w)])
+
+
+@st.composite
+def pair_search_cases(draw):
+    """A small weighted graph with sorted, non-empty candidate lists per side."""
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(1, 4))
+    cells = [(x, y) for x in range(a) for y in range(b)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+    weight = st.one_of(st.integers(1, 3), st.integers(1, 1 << 62))
+    g = build_graph(a, b, [(x, y, draw(weight)) for x, y in chosen])
+
+    def layouts(n):
+        perms = st.permutations(range(n)).map(tuple)
+        return sorted(draw(st.lists(perms, min_size=1, max_size=8, unique=True)))
+
+    return g, layouts(a), layouts(b)
+
+
+class TestPairSearch:
+    """One float64 path, exact for every weight by clamping at budget + 1."""
+
+    def test_weight_magnitude_does_not_change_the_result(self):
+        results = set()
+        for w in (1, 1 << 26, 1 << 40, 1 << 60):
+            g = heavy_c4(w)
+            for report in (bcr_decide(g, 1), bcr_exact(g, 4)):
+                witness = (report.witness.fx, report.witness.fy)
+                results.add((report.decision, report.optimum, witness, report.stats))
+        assert len(results) == 1
+        decision, optimum, _, stats = results.pop()
+        assert (decision, optimum) == ("yes", 1)
+        assert (stats.pairs_evaluated, stats.pruned) == (4, 0)
+
+    def test_clamped_mass_past_2_53_raises_in_the_pair_search(self):
+        g = heavy_c4(1 << 60)
+        k = 1 << 60
+        limits = Limits(max_gap_budget=1 << 70)
+        # the gap budget fits, so enumeration is not what raises
+        for side in (Side.X, Side.Y):
+            assert list(enumerate_candidates(g, side, k, limits))
+        with pytest.raises(ResourceLimitError, match="candidate-pair search"):
+            bcr_decide(g, k, limits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=pair_search_cases(), data=st.data())
+    def test_matches_brute_force(self, case, data):
+        g, xs, ys = case
+        counts = [
+            [crossing_number_fast(drawing_from_ranks(g, xr, yr)) for yr in ys] for xr in xs
+        ]
+        true_best, bi, bj = min((c, i, j) for i, row in enumerate(counts) for j, c in enumerate(row))
+        budget = data.draw(
+            st.one_of(
+                st.integers(0, 64),
+                st.sampled_from(sorted({c for row in counts for c in row})),
+                st.integers(0, 1 << 40),
+                st.integers(0, 1 << 62),
+            )
+        )
+        # exit_at is a proven lower bound in the solver: never above the optimum
+        ceiling = min(true_best, budget)
+        exit_at = data.draw(st.one_of(st.integers(0, ceiling), st.just(ceiling)))
+        chunk = data.draw(st.sampled_from([1, 3, solver_mod._PAIR_CHUNK_ROWS]))
+
+        # the guard's condition: the weight mass clamped at budget + 1
+        edges = g.edges
+        clamped_mass = sum(
+            min(w * w2, budget + 1)
+            for i, (x, y, w) in enumerate(edges)
+            for x2, y2, w2 in edges[i + 1 :]
+            if x != x2 and y != y2
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_PAIR_CHUNK_ROWS", chunk)
+            if clamped_mass >= 1 << 53:
+                with pytest.raises(ResourceLimitError, match="candidate-pair search"):
+                    solver_mod._pair_search(g, xs, ys, exit_at, budget)
+                return
+            best, i, j, evaluated = solver_mod._pair_search(g, xs, ys, exit_at, budget)
+
+        # chunked early exit over the true counts: stop after the first
+        # chunk holding a count at most exit_at
+        want_evaluated = 0
+        for start in range(0, len(xs), chunk):
+            rows = counts[start : start + chunk]
+            want_evaluated += len(rows) * len(ys)
+            if min(min(row) for row in rows) <= exit_at:
+                break
+        assert evaluated == want_evaluated
+        if true_best <= budget:
+            assert (best, i, j) == (true_best, bi, bj)
+        else:
+            assert best > budget
+
+
 class TestSelfCheck:
     SCRIPT = textwrap.dedent(
         """
@@ -535,8 +638,9 @@ class TestSelfCheck:
             raise SystemExit("expected python -O")
         real = solver._pair_search
 
-        def wrong_index(g, xs, ys, exit_at, threads):
-            best, _, _, evaluated = real(g, xs, ys, exit_at, threads)
+        def wrong_index(*args, **kwargs):
+            g, xs, ys = args[:3]
+            best, _, _, evaluated = real(*args, **kwargs)
             for i, xr in enumerate(xs):
                 for j, yr in enumerate(ys):
                     if crossing_number_fast(drawing_from_ranks(g, xr, yr)) != best:
