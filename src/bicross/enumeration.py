@@ -10,20 +10,30 @@ the graph is connected and free of sibling pairs.  The mechanism:
    witness mid(x)).  The pairs {x, T(x)} always form a spanning tree on
    the side, and each graph edge serves at most two witness paths.
 
-2. In any drawing, a crossing budget of k forces the rank displacements
-   gap(x) = |rank(x) - rank(T(x))| - 1 to satisfy sum(gap(x) - 1) <= 4k:
-   the two witness edges of x are crossed by every edge incident to a
-   vertex strictly between x and T(x), and with no sibling pairs those
-   vertices contribute at least gap(x) - 1 crossings on those two edges
-   alone; each crossing is shared by at most four witness paths (two per
-   edge), giving the 4k total.
+2. In any drawing with at most k crossings, the rank displacements
+   gap(x) = |rank(x) - rank(T(x))| - 1 satisfy
+   sum(max(0, gap(x) - l(x))) <= 4k, where l(x) = 1 if mid(x) has a
+   degree-1 neighbour on this side other than x and T(x), and l(x) = 0
+   otherwise.  Take a vertex z strictly between x and T(x).  Its edges
+   all end on the other side, and each one that does not go to mid(x)
+   crosses exactly one of the two witness edges (x, mid(x)) and
+   (T(x), mid(x)).  So z puts no crossing on them only if its only edge
+   goes to mid(x), that is, if z is a leaf of mid(x); with no sibling
+   pairs mid(x) has at most one leaf on this side, and that leaf counts
+   only when it is neither x nor T(x).  The witness edges of x therefore
+   carry at least gap(x) - l(x) crossings.  Each crossing pairs two
+   edges, each edge lies on at most two witness paths, so a crossing is
+   counted for at most four vertices x, giving the 4k total.
 
 3. Therefore every layout of a drawing with at most k crossings is
    reproduced by choosing a root rank, and per non-root vertex a gap and
-   a direction, with the gaps summing to at most 4k + a - 1.  Enumerating
-   those choices (depth-first over the spine tree, pruning on rank
-   collisions and exhausted budget) reaches every layout that can appear
-   in a drawing within budget.
+   a direction, where each gap costs max(0, gap - l(x)) and the costs
+   sum to at most 4k.  Enumerating those choices (depth-first over the
+   spine tree, pruning on rank collisions and exhausted budget) reaches
+   every layout that can appear in a drawing within budget.  At most
+   a - 1 vertices have l(x) = 1, so the raw gaps still sum to at most
+   4k + a - 1 (gap_budget, capped by Limits.max_gap_budget): the stream
+   is a subset of the orders that count_bound counts.
 
 4. The same walk also cuts on the one-sided crossing bound (Juenger and
    Mutzel 1997; Dujmovic, Fernau and Kaufmann 2008).  Fix this side's
@@ -38,15 +48,16 @@ the graph is connected and free of sibling pairs.  The mechanism:
    exceeds k.  A layout of a drawing with at most k crossings has a bound
    of at most k, so no such layout is lost.
 
-5. The stream is therefore exactly the layouts with gap total at most
-   4k + a - 1 on the spine and one-sided bound at most k, and that set is
-   closed under reversal.  Reversing a layout (rank r -> a - 1 - r) keeps
-   every |rank(x) - rank(T(x))|, hence every gap, and swaps c_uv with
-   c_vu for every pair, hence keeps the bound.  So the walk only visits
-   root ranks r <= (a - 1) / 2 and emits each layout it reaches together
-   with its reversal, whose root rank is a - 1 - r.  When a is odd the
-   middle root rank is its own mirror: its walk already reaches both
-   layouts of every mirror pair, so it emits them unmirrored.
+5. The stream is therefore exactly the layouts with gap cost at most 4k
+   on the spine and one-sided bound at most k, and that set is closed
+   under reversal.  l(x) depends only on the graph and the spine.
+   Reversing a layout (rank r -> a - 1 - r) keeps every
+   |rank(x) - rank(T(x))|, hence every gap and every cost, and swaps c_uv
+   with c_vu for every pair, hence keeps the bound.  So the walk only
+   visits root ranks r <= (a - 1) / 2 and emits each layout it reaches
+   together with its reversal, whose root rank is a - 1 - r.  When a is
+   odd the middle root rank is its own mirror: its walk already reaches
+   both layouts of every mirror pair, so it emits them unmirrored.
 
 Sides of size at most 1 have a single layout and are handled by the
 solver directly; the machinery here requires a side of 2 or more.
@@ -288,8 +299,34 @@ def encoding_from_layout(s: SpineMap, layout: Layout) -> CandidateEncoding:
 
 
 def gap_budget(a: int, k: int) -> int:
-    """Total gap allowance for side size a and crossing budget k: 4k + a - 1."""
+    """Ceiling on the raw gap total for side size a and crossing budget k: 4k + a - 1.
+
+    The walk charges max(0, gap - l(x)) against 4k; with l(x) <= 1 on at
+    most a - 1 vertices, the raw gaps of any streamed layout sum to at
+    most this value.
+    """
     return 4 * k + a - 1
+
+
+def _leaf_slack(g: BipartiteGraph, s: SpineMap) -> list[int]:
+    """l(x) per side vertex: the rank a gap may skip free of charge.
+
+    l(x) = 1 if mid(x) has a degree-1 neighbour on this side other than x
+    and T(x), and 0 otherwise (also 0 for the root).  Such a leaf can sit
+    between x and T(x) without crossing a witness edge of x (module
+    docstring, step 2).  x and T(x) are neighbours of mid(x), so they are
+    among its leaves exactly when their own degree is 1.
+    """
+    own, other = (g.x_adj, g.y_adj) if s.side is Side.X else (g.y_adj, g.x_adj)
+    leaves = [0] * len(other)
+    for nbrs in own:
+        if len(nbrs) == 1:
+            leaves[nbrs[0]] += 1
+    slack = [0] * len(own)
+    for x, mid in s.witness.items():
+        others = leaves[mid] - (len(own[x]) == 1) - (len(own[s.successor[x]]) == 1)
+        slack[x] = 1 if others > 0 else 0
+    return slack
 
 
 def _crossable_weight(g: BipartiteGraph) -> int:
@@ -352,17 +389,20 @@ def enumerate_candidates(
     k: int,
     limits: Limits = DEFAULT_LIMITS,
 ) -> Iterator[Layout]:
-    """Stream the layouts within the gap budget and the one-sided bound.
+    """Stream the layouts within the gap cost and the one-sided bound.
 
     Requires a connected graph with no sibling pairs and side size >= 2
     (the caller merges sibling leaves first).  Contains, for every drawing
     with at most k crossings, that drawing's layout on this side, and
     every layout it streams has a one-sided crossing bound of at most k.
 
-    The walk assigns ranks depth-first in spine order.  Trying every
-    in-range unused rank for a vertex is exactly trying every (gap, sign)
-    pair whose decode survives, so pruning on collisions or exhausted
-    budget discards only encodings whose decode would fail or overspend.
+    The walk assigns ranks depth-first in spine order, starting with a
+    budget of 4k.  Vertex x may take any gap up to the remaining budget
+    plus l(x) and pays max(0, gap - l(x)), with l computed once per call
+    by _leaf_slack (module docstring, step 2).  Trying every in-range
+    unused rank for a vertex is exactly trying every (gap, sign) pair
+    whose decode survives, so pruning on collisions or exhausted budget
+    discards only encodings whose decode would fail or overspend.
     Placing a vertex adds the order-settled weights against every vertex
     placed before it to the per-pair sums c_uv, c_vu, and the branch is
     cut once sum(min(c_uv, c_vu)) exceeds k (see the module docstring);
@@ -371,13 +411,14 @@ def enumerate_candidates(
     k the walk does not track it.  Distinct surviving branches assign
     some vertex distinct ranks, hence the walk has no duplicates.
 
-    Reversal keeps both the gaps and the bound (module docstring, step
+    Reversal keeps both the gap costs and the bound (module docstring, step
     5), so only root ranks up to (a - 1) / 2 are walked and each layout
     found is followed by its reversal, except at the middle root rank of
     an odd side, whose walk holds both layouts of each mirror pair.  A
     reversal has its root on a rank that is never walked, so it repeats
     nothing.  The max_candidates_per_side check counts every layout
-    streamed, reversals included.
+    streamed, reversals included.  The max_gap_budget check applies to
+    gap_budget(a, k) = 4k + a - 1, the ceiling on the raw gap total.
     """
     a = g.side_count(side)
     budget = gap_budget(a, k)
@@ -388,6 +429,7 @@ def enumerate_candidates(
     spine = build_spine(g, side, root=0)
     order = spine.decode_order
     successor = spine.successor
+    slack = _leaf_slack(g, spine)
     # the bound never exceeds half the crossable weight, so it cannot cut
     # anything once k reaches that half
     track = 2 * k < _crossable_weight(g)
@@ -405,7 +447,8 @@ def enumerate_candidates(
         x = order[depth]
         placed = order[:depth]
         base = ranks[successor[x]]
-        for gap in range(remaining + 1):
+        free = slack[x]
+        for gap in range(remaining + free + 1):
             if base + gap + 1 >= a and base - gap - 1 < 0:
                 break  # every larger gap lands out of range too
             for sign in (1, -1):
@@ -432,7 +475,8 @@ def enumerate_candidates(
                         continue
                 ranks[x] = r
                 used[r] = True
-                yield from walk(depth + 1, remaining - gap, next_lo, next_hi, next_bound)
+                cost = gap - free if gap > free else 0
+                yield from walk(depth + 1, remaining - cost, next_lo, next_hi, next_bound)
                 used[r] = False
 
     root = order[0]
@@ -443,7 +487,7 @@ def enumerate_candidates(
         mirror = 2 * root_rank != top  # the middle rank is its own mirror
         ranks[root] = root_rank
         used[root_rank] = True
-        for found in walk(1, budget, zeros, zeros, 0):
+        for found in walk(1, 4 * k, zeros, zeros, 0):
             for out in (found, tuple(top - r for r in found)) if mirror else (found,):
                 emitted += 1
                 if emitted > limits.max_candidates_per_side:

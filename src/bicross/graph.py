@@ -65,6 +65,11 @@ class BipartiteGraph:
     edges: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        # exact type tests: bool is an int subclass, and 1.0 compares equal to 1
+        if type(self.x_count) is not int or type(self.y_count) is not int:
+            raise GraphError(
+                f"vertex counts {self.x_count!r}, {self.y_count!r} must be integers"
+            )
         if self.x_count < 0 or self.y_count < 0:
             raise GraphError("vertex counts must be non-negative")
         seen: set[tuple[int, int]] = set()
@@ -73,6 +78,8 @@ class BipartiteGraph:
             if len(edge) != 3:
                 raise GraphError(f"edge {edge!r} is not an (x, y, weight) triple")
             x, y, w = edge
+            if type(x) is not int or type(y) is not int or type(w) is not int:
+                raise GraphError(f"edge {edge!r} must hold integer indices and weight")
             if not 0 <= x < self.x_count:
                 raise GraphError(f"x index {x} out of range 0..{self.x_count - 1}")
             if not 0 <= y < self.y_count:

@@ -24,8 +24,10 @@ class Limits:
             per side during enumeration.
         max_pair_evaluations: cap on candidate-pair crossing evaluations
             in a single component search.
-        max_gap_budget: cap on the per-side gap budget 4*k + a - 1; keeps
-            a runaway k from silently requesting an absurd search.
+        max_gap_budget: cap on 4*k + a - 1, the ceiling on the raw gap
+            total of a side's candidate layouts (the walk itself charges
+            a leaf-aware cost against 4*k); keeps a runaway k from
+            silently requesting an absurd search.
         k_max_default: default ceiling for the exact-optimum driver.
     """
 

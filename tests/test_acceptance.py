@@ -13,8 +13,6 @@ import math
 import random
 import time
 
-import pytest
-
 from bicross import (
     BipartiteGraph,
     Layout,
@@ -38,11 +36,9 @@ from bicross import (
 from bicross.cli import main
 from conftest import record_acceptance
 from util import (
-    all_drawings,
     exhaustive_connected_graphs,
     inject_sibling_leaves,
     random_connected_graph,
-    random_sibling_free_graph,
     reference_crossings,
 )
 
@@ -54,28 +50,6 @@ def check(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def c4():
     return build_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-
-
-@pytest.fixture(scope="module")
-def sibling_free_pool():
-    """50 sibling-free connected graphs (n <= 8) with their full drawing scans.
-
-    Shared by criteria 5, 6, and 7: each entry is (graph, scans) where
-    scans maps k in {0, 1, 2} to the set of (fx, fy) drawings within k.
-    """
-    rng = random.Random(2024)
-    pool = []
-    for _ in range(50):
-        a, b, edges = random_sibling_free_graph(rng, max_n=8)
-        g = BipartiteGraph(a, b, tuple(edges))
-        within = {0: [], 1: [], 2: []}
-        for fx, fy in all_drawings(a, b):
-            c = reference_crossings(edges, fx, fy)
-            for k in (0, 1, 2):
-                if c <= k:
-                    within[k].append((fx, fy))
-        pool.append((g, within))
-    return pool
 
 
 def test_01_oracle_equivalence_exhaustive():

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bicross import build_graph, drawing_from_ranks, identity_drawing
+from bicross import BipartiteGraph, build_graph, drawing_from_ranks, identity_drawing
 from bicross.cli import (
     ParseError,
     emit_svg,
@@ -25,6 +27,27 @@ x0 y1
 x1 y0
 x1 y1
 """
+
+
+@st.composite
+def weighted_graphs(draw, covered: bool = False):
+    """Random weighted graphs with up to 8 vertices a side and 20 edges.
+
+    Unless covered, some vertices are isolated, trailing ones included.
+    With covered, the last vertex on each side has an edge, which is what
+    an edge list needs to carry the side sizes.
+    """
+    weights = st.one_of(st.just(1), st.integers(1, 9), st.integers(1, 1 << 70))
+    edges = draw(
+        st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), weights, max_size=20)
+    )
+    if covered:
+        x_count = 1 + max((x for x, _ in edges), default=-1)
+        y_count = 1 + max((y for _, y in edges), default=-1)
+    else:
+        x_count = draw(st.integers(max((x + 1 for x, _ in edges), default=0), 8))
+        y_count = draw(st.integers(max((y + 1 for _, y in edges), default=0), 8))
+    return BipartiteGraph(x_count, y_count, tuple((x, y, w) for (x, y), w in edges.items()))
 
 
 def c4():
@@ -70,6 +93,18 @@ class TestParsing:
     def test_round_trip(self):
         g = build_graph(3, 2, [(0, 0, 2), (1, 0), (1, 1), (2, 1, 4)])
         assert parse_graph_text(graph_to_text(g)) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=weighted_graphs())
+    def test_round_trip_property(self, g):
+        assert parse_graph_text(graph_to_text(g)) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=weighted_graphs(covered=True))
+    def test_edge_list_round_trip_property(self, g):
+        # weight 1 is left out, as the native writer does, so the default is read too
+        text = "".join(f"{x} {y}" + (f" {w}\n" if w > 1 else "\n") for x, y, w in g.edges)
+        assert parse_edge_list_text(text) == g
 
     def test_edge_list_import(self):
         g = parse_edge_list_text("0 0\n0 1 3\n2 1\n")

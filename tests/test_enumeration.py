@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -29,6 +30,8 @@ from bicross.limits import Limits
 from util import (
     all_drawings,
     has_sibling_pair,
+    leaf_aware_cost,
+    leaf_slack,
     one_sided_bound,
     random_connected_graph,
     random_sibling_free_graph,
@@ -201,10 +204,11 @@ class TestEnumerate:
             list(enumerate_candidates(c4(), Side.X, 1, tiny))
 
 
-def cycle_with_path(c, tail, rng):
+def cycle_with_path(c, tail, rng=None):
     """C_2c with a path of tail edges hung on x0, labels shuffled per side.
 
     With c = 0 there is no cycle and the graph is a path of tail edges.
+    Without rng the labels stay in construction order.
     """
     a, b = max(c, 1), c
     pairs = [(i, i) for i in range(c)] + [((i + 1) % c, i) for i in range(c)]
@@ -217,8 +221,8 @@ def cycle_with_path(c, tail, rng):
             pairs.append((a, end))
             end, a = a, a + 1
         on_x = not on_x
-    px = rng.sample(range(a), a)
-    py = rng.sample(range(b), b)
+    px = rng.sample(range(a), a) if rng else range(a)
+    py = rng.sample(range(b), b) if rng else range(b)
     return a, b, sorted((px[x], py[y], 1) for x, y in pairs)
 
 
@@ -227,7 +231,10 @@ def mirror_cases():
 
     The families are paths, C4 with a tail and C6 with a tail (crossing
     numbers 0, 1 and 2; a C6 side has at least 3 vertices), all free of
-    sibling pairs, so their streams at k <= 3 are not empty.
+    sibling pairs, so their streams at k <= 3 are not empty.  On those
+    sides l(x) is 0 throughout, so a fourth family adds, for each size
+    3..7, a side of a random sparse sibling-free graph with some
+    l(x) = 1 (a side of 2 has no vertex other than x and T(x)).
     """
     rng = random.Random(131)
     cases = []
@@ -242,6 +249,23 @@ def mirror_cases():
                     sizes.discard(size)
                     cases.append((g, edges, side))
         assert not sizes
+    sizes = set(range(3, 8))
+    for _ in range(1000):
+        if not sizes:
+            break
+        a, b, edges = random_connected_graph(
+            rng, max_n=12, extra_edge_prob=0.1, min_n=5, max_side=7
+        )
+        if has_sibling_pair(a, b, edges):
+            continue
+        g = BipartiteGraph(a, b, tuple(edges))
+        for side, size in ((Side.X, a), (Side.Y, b)):
+            if size in sizes:
+                spine = build_spine(g, side, 0)
+                if any(leaf_slack(edges, side is Side.X, spine.successor, spine.witness).values()):
+                    sizes.discard(size)
+                    cases.append((g, edges, side))
+    assert not sizes, f"no side with l(x) = 1 found for sizes {sorted(sizes)}"
     return cases
 
 
@@ -249,24 +273,29 @@ MIRROR_CASES = mirror_cases()
 
 
 class TestMirroredWalk:
-    """The half walk plus mirrors against a filter over all a! layouts."""
+    """The half walk plus mirrors against a filter over all a! layouts.
+
+    The filter is "leaf-aware gap cost <= 4k and one-sided bound <= k",
+    with the cost computed in util from the edge list alone.
+    """
 
     def test_stream_is_exactly_the_filtered_permutations(self):
         middle_root_layouts = {3: 0, 5: 0, 7: 0}
         for g, edges, side in MIRROR_CASES:
             a = g.side_count(side)
             spine = build_spine(g, side, root=0)
-            # gap total and one-sided bound of every layout, from the definitions
+            slack = leaf_slack(edges, side is Side.X, spine.successor, spine.witness)
+            # leaf-aware gap cost and one-sided bound of every layout, from the definitions
             scored = [
                 (
                     perm,
-                    encoding_from_layout(spine, Layout(side, perm)).gap_total(),
+                    leaf_aware_cost(perm, spine.successor, slack),
                     one_sided_bound(edges, side is Side.X, perm),
                 )
                 for perm in permutations(range(a))
             ]
             for k in range(4):
-                want = {p for p, gaps, bound in scored if gaps <= gap_budget(a, k) and bound <= k}
+                want = {p for p, cost, bound in scored if cost <= 4 * k and bound <= k}
                 stream = [l.ranks for l in enumerate_candidates(g, side, k)]
                 assert len(stream) == len(set(stream)), (edges, side, k)
                 assert set(stream) == want, (edges, side, k)
@@ -288,6 +317,96 @@ class TestMirroredWalk:
                 list(enumerate_candidates(g, side, 1, short))
             checked += 1
         assert checked >= 6
+
+
+class TestLeafAwareCost:
+    """Every drawing with at most k crossings has leaf-aware gap cost <= 4k."""
+
+    @staticmethod
+    def spines_and_slacks(g, edges):
+        """[(spine, l) for X, then for Y], l computed in util from the edge list."""
+        out = []
+        for side in (Side.X, Side.Y):
+            spine = build_spine(g, side, 0)
+            out.append((spine, leaf_slack(edges, side is Side.X, spine.successor, spine.witness)))
+        return out
+
+    def test_sibling_free_pool(self, sibling_free_pool):
+        checked = 0
+        for g, within in sibling_free_pool:
+            sides = self.spines_and_slacks(g, g.edges)
+            for k in (0, 1, 2):
+                for fx, fy in within[k]:
+                    for ranks, (spine, slack) in zip((fx, fy), sides):
+                        assert leaf_aware_cost(ranks, spine.successor, slack) <= 4 * k, (g, fx, fy)
+                    checked += 1
+        assert checked >= 200
+
+    def test_random_sibling_free_graphs(self):
+        # the inequality holds per drawing: cost <= 4 * (its crossing count).
+        # random_sibling_free_graph is dense and has few leaves, so 100
+        # sparse sibling-free graphs are added, where l(x) = 1 is common.
+        rng = random.Random(67)
+        graphs = [random_sibling_free_graph(rng) for _ in range(100)]
+        while len(graphs) < 200:
+            a, b, edges = random_connected_graph(rng, max_n=8, extra_edge_prob=0.15, min_n=4)
+            if a >= 2 and b >= 2 and not has_sibling_pair(a, b, edges):
+                graphs.append((a, b, edges))
+        needed = 0  # drawing sides that exceed 4 * crossings without the l term
+        for a, b, edges in graphs:
+            sides = self.spines_and_slacks(BipartiteGraph(a, b, tuple(edges)), edges)
+            for fx, fy in all_drawings(a, b):
+                c = reference_crossings(edges, fx, fy)
+                for ranks, (spine, slack) in zip((fx, fy), sides):
+                    assert leaf_aware_cost(ranks, spine.successor, slack) <= 4 * c, (edges, fx, fy)
+                    needed += leaf_aware_cost(ranks, spine.successor, dict.fromkeys(slack, 0)) > 4 * c
+        # the sample has drawings that only the leaf term admits
+        assert needed >= 2
+
+
+def walk_nodes(g, side, k):
+    """(walk nodes expanded, layouts streamed) for one enumeration.
+
+    A node is one call of the inner generator walk.  The profiler also
+    reports each resumption of a live generator as a call, so a frame is
+    counted when first seen and forgotten once it returns for good: walk
+    yields only tuples, so a return event carrying None is its end.
+    """
+    live: set[int] = set()
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if frame.f_code.co_name != "walk":
+            return
+        if event == "call" and id(frame) not in live:
+            live.add(id(frame))
+            nodes += 1
+        elif event == "return" and arg is None:
+            live.discard(id(frame))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        streamed = sum(1 for _ in enumerate_candidates(g, side, k))
+    finally:
+        sys.setprofile(previous)
+    return nodes, streamed
+
+
+class TestWalkNodes:
+    def test_c4_tail_x_walk(self):
+        # bcr is 1 for every tail length; the stream stays 2 X layouts
+        a, b, edges = cycle_with_path(2, 24)
+        nodes, streamed = walk_nodes(BipartiteGraph(a, b, tuple(edges)), Side.X, 1)
+        assert streamed == 2
+        assert nodes <= 7000
+
+    def test_counter_sees_every_node(self):
+        # C4 at k = 0: the root's child x1 is cut by the one-sided bound
+        assert walk_nodes(c4(), Side.X, 0) == (1, 0)
+        # at k = 1 the bound is not tracked: x1 is placed, and the layout mirrored
+        assert walk_nodes(c4(), Side.X, 1) == (2, 2)
 
 
 class TestCountBound:

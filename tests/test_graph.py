@@ -87,6 +87,25 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="weight"):
             build_graph(1, 1, [(0, 0, 0)])
 
+    def test_float_weight_rejected(self):
+        with pytest.raises(GraphError, match="integer"):
+            build_graph(2, 2, [(0, 0, 1.5), (0, 1), (1, 0), (1, 1)])
+
+    def test_float_index_rejected(self):
+        with pytest.raises(GraphError, match="integer"):
+            build_graph(2, 2, [(0.0, 0), (0, 1), (1, 0), (1, 1)])
+        with pytest.raises(GraphError, match="integer"):
+            BipartiteGraph(2, 2.0, ((0, 0, 1),))
+
+    def test_bool_rejected(self):
+        # bool is an int subclass, so True would otherwise read as index or weight 1
+        with pytest.raises(GraphError, match="integer"):
+            build_graph(2, 2, [(True, 0), (0, 1)])
+        with pytest.raises(GraphError, match="integer"):
+            build_graph(2, 2, [(0, 0, True), (0, 1)])
+        with pytest.raises(GraphError, match="integer"):
+            BipartiteGraph(True, 1)
+
     def test_weight_defaults_to_one(self):
         g = build_graph(1, 2, [(0, 0), (0, 1, 4)])
         assert g.weight == {(0, 0): 1, (0, 1): 4}

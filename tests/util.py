@@ -164,7 +164,8 @@ def inject_sibling_leaves(rng, triple: Triple, max_n: int = 9) -> Triple:
     a, b, edges = triple
     edges = list(edges)
     budget = max_n - (a + b)
-    assert budget >= 2, "no room to inject a sibling pair"
+    if budget < 2:  # a raise, not an assert: util is not rewritten by pytest under -O
+        raise ValueError("no room to inject a sibling pair")
     # two fresh leaves on a common random parent guarantee a pair
     if rng.random() < 0.5 and a >= 1:
         parent = rng.randrange(a)
@@ -211,6 +212,30 @@ def one_sided_bound(edges, fixed_is_x: bool, ranks) -> int:
             cost[(right, left)] = cost.get((right, left), 0) + w1 * w2
     pairs = {tuple(sorted(key)) for key in cost}
     return sum(min(cost.get((u, v), 0), cost.get((v, u), 0)) for u, v in pairs)
+
+
+def leaf_slack(edges, fixed_is_x: bool, successor, witness) -> dict[int, int]:
+    """l(x) for every non-root x of a spine, from the edge list.
+
+    l(x) = 1 when mid(x) = witness[x] has a neighbour z on the fixed side
+    with degree 1 and z not in {x, successor[x]}; otherwise 0.
+    """
+    ends = [(e[0], e[1]) if fixed_is_x else (e[1], e[0]) for e in edges]
+    degree: dict[int, int] = {}
+    for s, _ in ends:
+        degree[s] = degree.get(s, 0) + 1
+    slack = {}
+    for x, t in successor.items():
+        leaves = {s for s, o in ends if o == witness[x] and degree[s] == 1}
+        slack[x] = 1 if leaves - {x, t} else 0
+    return slack
+
+
+def leaf_aware_cost(ranks, successor, slack) -> int:
+    """sum over non-root x of max(0, gap(x) - l(x)), gap(x) = |rank(x) - rank(T(x))| - 1."""
+    return sum(
+        max(0, abs(ranks[x] - ranks[t]) - 1 - slack[x]) for x, t in successor.items()
+    )
 
 
 def connected_graph_classes(max_a: int, max_b: int):
