@@ -176,6 +176,7 @@ def solve_document(
             "candidates_y": report.stats.candidates_y,
             "pairs_evaluated": report.stats.pairs_evaluated,
             "pruned": report.stats.pruned,
+            "kernel_edges": report.stats.kernel_edges,
         },
         "method": report.method,
         "wall_time_ms": wall_time_ms,

@@ -145,10 +145,11 @@ def _derived_graph(
 ) -> BipartiteGraph:
     """A graph made from parts of a validated one, skipping re-validation.
 
-    Only for split_components and sibling_merge, whose edges come from a
-    valid graph: a sorted tuple of in-range (x, y, weight) triples with
-    positive weights and no duplicates.  Outside input goes through
-    BipartiteGraph(...) or build_graph, which check everything.
+    Only for split_components, sibling_merge and _pendant_path_kernel,
+    whose edges come from a valid graph: a sorted tuple of in-range
+    (x, y, weight) triples with positive weights and no duplicates.
+    Outside input goes through BipartiteGraph(...) or build_graph, which
+    check everything.
     """
     g = object.__new__(BipartiteGraph)
     object.__setattr__(g, "x_count", x_count)
@@ -371,6 +372,111 @@ def sibling_merge(g: BipartiteGraph) -> MergeResult:
 def merge_sibling_leaves(g: BipartiteGraph) -> BipartiteGraph:
     """The sibling-merged graph (see sibling_merge for the index maps)."""
     return sibling_merge(g).graph
+
+
+# -- pendant paths -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PathKernel:
+    """Outcome of the pendant-path cut.
+
+    ``x_vertices[i]`` is the input's X index of kernel X vertex i
+    (ascending), and likewise for ``y_vertices``.  ``paths`` lists every
+    cut pendant path as (side of p0, (p0, p1, ..., pL)) in the input's
+    indexing: p0 lies on that side, p1 on the other, and so on.  The
+    kernel keeps p0 ... p``keep`` of each of them.
+    """
+
+    graph: BipartiteGraph
+    x_vertices: tuple[int, ...]
+    y_vertices: tuple[int, ...]
+    paths: tuple[tuple[Side, tuple[int, ...]], ...]
+    keep: int
+
+
+def _pendant_path_kernel(g: BipartiteGraph, budget: int) -> PathKernel:
+    """Cut every pendant path of g longer than 2 * budget + 2 edges to that length.
+
+    A pendant path v = p0 - p1 - ... - pL has p1 ... p(L-1) of degree 2,
+    a leaf pL and deg(v) >= 3; write ei = (p(i-1), pi).  g must be
+    connected, free of sibling pairs and not a caterpillar (the solver
+    passes its merged components).  With K = 2 * budget + 2, the kernel
+    drops p(K+1) ... pL of every pendant path with L > K, and the paths
+    are returned for the witness lift.  For every c <= budget, the kernel
+    has a drawing with at most c crossings iff g has one:
+
+    * Forward: the kernel is a subgraph of g, so bcr(kernel) <= bcr(g).
+    * Backward: take a kernel drawing with c <= budget crossings.  Every
+      weight is at least 1, so at most 2c <= 2 * budget edges are
+      crossed, and among the 2 * budget + 1 edges e2 ... eK of a cut path
+      some edge is uncrossed.  Let j >= 2 be the smallest such index.
+    * Lift: delete p(j+1) onward.  For i = j+1 ... L, insert pi directly
+      beside p(i-2) on that layer, on the side where
+      sign(rank pi - rank p(i-2)) = sign(rank p(i-1) - rank p(i-3)).
+      The new edge ei then crosses exactly what e(i-1) crosses, which is
+      nothing: an edge with no endpoint among p(i-2), p(i-1), pi meets
+      both on the same side, since nothing lies between pi and p(i-2);
+      the edges at p(i-1) share an endpoint with ei; and p(i-2) has
+      degree 2 because j >= 2, so its one other edge e(i-2) runs from
+      p(i-3) to p(i-2) and misses ei by the choice of side.  Insertions
+      never reorder vertices already placed, so every pair keeps its
+      crossing state and the cut paths lift one after another, each
+      with its own j read off the kernel drawing.  The rule makes every
+      insertion go the way of the first, d = sign(rank pj - rank p(j-2)):
+      p(j+1), p(j+3), ... follow p(j-1) and p(j+2), p(j+4), ... follow pj,
+      each as one consecutive run in direction d, an uncrossed ladder.
+    * So the lift has at most c crossings, hence exactly c.  The weights
+      of the cut edges do not matter, because the regrown edges are
+      uncrossed.
+
+    K >= 2, so p1 keeps degree 2 and the kernel's new leaf pK hangs off
+    p(K-1), whose other neighbour (v, or a vertex of degree 2) is no leaf:
+    the kernel stays connected, free of sibling pairs and not a
+    caterpillar (every vertex keeps its non-leaf neighbours), and
+    m - n + 1 does not change.  When nothing is cut the kernel is g
+    itself, with identity index maps.
+    """
+    keep = 2 * budget + 2
+    adjs = (g.x_adj, g.y_adj)
+    paths: list[tuple[Side, tuple[int, ...]]] = []
+    drop: tuple[set[int], set[int]] = (set(), set())
+    for leaf_side in (0, 1):
+        for leaf, nbrs in enumerate(adjs[leaf_side]):
+            if len(nbrs) != 1:
+                continue
+            # climb from the leaf through degree-2 vertices to p0
+            chain = [leaf]
+            side, v, prev = leaf_side, leaf, -1
+            while True:
+                here = adjs[side][v]
+                side, prev, v = 1 - side, v, here[0] if here[0] != prev else here[1]
+                chain.append(v)
+                if len(adjs[side][v]) != 2:
+                    break
+            if len(adjs[side][v]) < 3 or len(chain) - 1 <= keep:
+                continue  # a path component, or short enough already
+            chain.reverse()
+            paths.append((Side.X if side == 0 else Side.Y, tuple(chain)))
+            for i in range(keep + 1, len(chain)):
+                drop[(side + i) % 2].add(chain[i])
+    if not paths:
+        return PathKernel(g, tuple(range(g.x_count)), tuple(range(g.y_count)), (), keep)
+    keep_x = [x for x in range(g.x_count) if x not in drop[0]]
+    keep_y = [y for y in range(g.y_count) if y not in drop[1]]
+    new_x = {orig: i for i, orig in enumerate(keep_x)}
+    new_y = {orig: i for i, orig in enumerate(keep_y)}
+    # both maps are monotone, so the kept edges stay sorted
+    kernel = _derived_graph(
+        len(keep_x),
+        len(keep_y),
+        tuple(
+            (new_x[x], new_y[y], w)
+            for x, y, w in g.edges
+            if x in new_x and y in new_y
+        ),
+    )
+    return PathKernel(kernel, tuple(keep_x), tuple(keep_y), tuple(paths), keep)
 
 
 # -- cheap bounds and fast paths --------------------------------------------

@@ -1,18 +1,25 @@
 """Exact crossing-number solving.
 
 Per connected component the pipeline is: answer 0 for caterpillars,
-merge sibling leaves, reject when the edge-count lower bound already
-exceeds the budget, and otherwise search the cross product of the
-enumerated candidate layouts for both sides.  The budget handed to the
-enumeration is first capped at the crossing count of the identity
-drawing, which the optimum cannot exceed.
+merge sibling leaves, and reject when the lower bound max(1, m - n + 1)
+already exceeds the budget (caterpillars are exactly the graphs with
+bcr 0, so every other component needs a crossing).  Otherwise, for each
+budget t searched, cut every pendant path to 2t + 2 edges (the kernel of
+bicross.graph._pendant_path_kernel, whose optimum is the merged graph's
+whenever that is at most t) and search the cross product of the
+enumerated candidate layouts of the kernel for both sides.  The winning
+kernel drawing is lifted back to the merged graph by an uncrossed ladder
+on each cut path, and then the merged leaves are expanded.  The budget
+handed to the enumeration is first capped at the crossing count of the
+identity drawing, which the optimum cannot exceed.
 The candidate streams are complete for drawings within budget: each holds
 every layout of a drawing with at most that many crossings, and only
 layouts whose one-sided crossing bound is within budget (see
 bicross.enumeration).  So the minimum over candidate pairs is the exact
-crossing number whenever that number is within budget, the lexicographically
-first optimal pair is the same as over all layout pairs, and an empty
-stream proves that the optimum exceeds the budget.
+crossing number of the kernel whenever that number is within budget, the
+lexicographically first optimal pair is the same as over all layout pairs
+of the kernel, and an empty stream proves that the optimum exceeds the
+budget.
 
 The cross-product search is vectorized: for every unordered edge pair
 that can cross (distinct endpoints on both sides), a layout induces a
@@ -57,7 +64,9 @@ from .graph import (
     GraphComponent,
     GraphError,
     MergeResult,
+    PathKernel,
     Side,
+    _pendant_path_kernel,
     crossing_lower_bound,
     find_sibling_pairs,
     is_caterpillar_forest,
@@ -76,11 +85,18 @@ class SelfCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Work counts of a solve, summed over its components.
+
+    kernel_edges sums, over the components that reached enumeration, the
+    edge count of the last pendant-path kernel searched.
+    """
+
     components: int
     candidates_x: int
     candidates_y: int
     pairs_evaluated: int
     pruned: int
+    kernel_edges: int
 
 
 @dataclass(frozen=True)
@@ -292,6 +308,71 @@ def _expand_witness(mr: MergeResult, merged: Drawing, original: BipartiteGraph) 
     )
 
 
+def _lift_witness(kernel: PathKernel, d: Drawing, h: BipartiteGraph) -> Drawing:
+    """Lift a drawing of the pendant-path kernel back to h, the graph it was cut from.
+
+    The ladder of _pendant_path_kernel: per cut path, j >= 2 is the first
+    index whose edge ej is uncrossed in d; p(j+1) ... pK are removed and
+    p(j+1) ... pL regrow as two runs, one directly beside p(j-1) and one
+    directly beside pj, both on the side given by sign(rank pj -
+    rank p(j-2)).  The lift has d's crossing count whenever d has at most
+    as many crossings as the budget the kernel was cut for.
+    """
+    if not kernel.paths:
+        return d
+    maps = (kernel.x_vertices, kernel.y_vertices)
+    ranks = ([-1] * h.x_count, [-1] * h.y_count)  # h vertex -> rank in d, -1 if cut
+    for side, layout in ((0, d.fx), (1, d.fy)):
+        for v, r in enumerate(layout.ranks):
+            ranks[side][maps[side][v]] = r
+    ranked = [(d.fx.ranks[x], d.fy.ranks[y]) for x, y, _ in kernel.graph.edges]
+
+    def crossed(side: int, u: int, v: int) -> bool:
+        """Whether the kernel edge from u (on side) to v crosses another."""
+        rx, ry = (ranks[0][u], ranks[1][v]) if side == 0 else (ranks[0][v], ranks[1][u])
+        return any((rx - px) * (ry - py) < 0 for px, py in ranked)
+
+    dropped: tuple[set[int], set[int]] = (set(), set())
+    runs: tuple[dict, dict] = ({}, {})  # anchor -> (direction, vertices in order)
+    for side0, p in kernel.paths:
+        s0 = 0 if side0 is Side.X else 1
+        j = next(
+            (
+                i
+                for i in range(2, kernel.keep + 1)
+                if not crossed((s0 + i - 1) % 2, p[i - 1], p[i])
+            ),
+            None,
+        )
+        if j is None:
+            raise SelfCheckError("every kept edge of a cut pendant path is crossed")
+        for i in range(j + 1, kernel.keep + 1):
+            dropped[(s0 + i) % 2].add(p[i])
+        sj = (s0 + j) % 2
+        direction = 1 if ranks[sj][p[j]] > ranks[sj][p[j - 2]] else -1
+        runs[1 - sj][p[j - 1]] = (direction, p[j + 1 :: 2])
+        runs[sj][p[j]] = (direction, p[j + 2 :: 2])
+
+    seqs: tuple[list[int], list[int]] = ([], [])
+    for side, layout in ((0, d.fx), (1, d.fy)):
+        out = seqs[side]
+        for kv in layout.sequence():
+            v = maps[side][kv]
+            if v in dropped[side]:
+                continue
+            direction, run = runs[side].get(v, (1, ()))
+            if direction < 0:
+                out.extend(reversed(run))
+            out.append(v)
+            if direction > 0:
+                out.extend(run)
+    return Drawing(
+        h,
+        layout_from_sequence(Side.X, seqs[0]),
+        layout_from_sequence(Side.Y, seqs[1]),
+    )
+
+
 def _compose_drawing(
     g: BipartiteGraph, parts: list[tuple[GraphComponent, Drawing]]
 ) -> Drawing:
@@ -400,7 +481,49 @@ class _ComponentOutcome:
     candidates_y: int
     pairs_evaluated: int
     pruned: int
+    kernel_edges: int
     enumerated: bool
+
+
+@dataclass(frozen=True)
+class _Search:
+    """One budget's candidate-pair search: the best drawing if it fits, and counts."""
+
+    best: int
+    drawing: Drawing | None
+    candidates_x: int
+    candidates_y: int
+    pairs_evaluated: int
+    pruned: int
+
+
+def _search(h: BipartiteGraph, budget: int, lb: int, limits: Limits) -> _Search:
+    """Enumerate both sides of h within budget and search their cross product.
+
+    drawing is the lexicographically first pair of minimum count when that
+    count is at most budget, else None.  Y is enumerated only when the X
+    stream is non-empty: an empty X stream already proves the optimum
+    exceeds the budget.
+    """
+    x_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.X, budget, limits))
+    if not x_layouts:
+        return _Search(budget + 1, None, 0, 0, 0, 0)
+    y_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.Y, budget, limits))
+    if not y_layouts:
+        return _Search(budget + 1, None, len(x_layouts), 0, 0, 0)
+    pairs_total = len(x_layouts) * len(y_layouts)
+    if pairs_total > limits.max_pair_evaluations:
+        raise ResourceLimitError(
+            f"candidate-pair search: {pairs_total} pairs exceeds "
+            f"max_pair_evaluations={limits.max_pair_evaluations}"
+        )
+    best, bi, bj, evaluated = _pair_search(h, x_layouts, y_layouts, lb, budget)
+    drawing = None
+    if best <= budget:
+        drawing = drawing_from_ranks(h, x_layouts[bi], y_layouts[bj])
+    return _Search(
+        best, drawing, len(x_layouts), len(y_layouts), evaluated, pairs_total - evaluated
+    )
 
 
 def _solve_component(g: BipartiteGraph, budgets: range, limits: Limits) -> _ComponentOutcome:
@@ -410,9 +533,9 @@ def _solve_component(g: BipartiteGraph, budgets: range, limits: Limits) -> _Comp
     (lo = hi), the whole ascent for an exact solve (lo = 0).  The search
     stops at the first budget whose best candidate pair fits it; the
     streams hold every drawing within that budget, so that pair's count
-    is the optimum.  The set-up below runs once per call; only
-    enumeration and pair search repeat per budget, and the outcome's
-    counts add up over every budget tried.
+    is the optimum.  The set-up below runs once per call; only the
+    pendant-path kernel, enumeration and pair search repeat per budget,
+    and the outcome's counts add up over every search.
 
     Caterpillars are answered 0 on g itself, before any merge, with the
     outcome the merged graph would give.  The sibling merge preserves bcr
@@ -422,53 +545,65 @@ def _solve_component(g: BipartiteGraph, budgets: range, limits: Limits) -> _Comp
     expands to the star's.  Merged leaves expand in ascending order in
     place of their representative, the smallest of them.  So the spine
     walk of _caterpillar_drawing on g lays out the witness that the walk
-    on the merged graph, expanded, would.  Every other component is
-    merged, rejected when its lower bound m - n + 1 exceeds hi, and
-    otherwise searched over candidate pairs from budget max(lo, lower
-    bound) up.  Y is enumerated only when the X stream is non-empty: an
-    empty X stream already proves the optimum exceeds the budget.
+    on the merged graph, expanded, would.
+
+    Every other component has bcr >= 1, so it is merged and rejected when
+    max(1, m - n + 1) exceeds hi.  Otherwise each budget t from
+    max(lo, that bound) up searches the pendant-path kernel of the merged
+    graph at t, whose optimum is the merged graph's whenever that is at
+    most t (see _pendant_path_kernel).  The witness is the lift of the
+    lexicographically first optimal pair of the kernel built at the
+    optimum c, so it does not depend on the budget: the ascent stops at
+    t = c, and a decision at t > c searches once more at c when that
+    kernel is smaller.
     """
     if is_caterpillar_forest(g):
-        return _ComponentOutcome(0, _caterpillar_drawing(g), 0, 0, 0, 0, False)
+        return _ComponentOutcome(0, _caterpillar_drawing(g), 0, 0, 0, 0, 0, False)
 
     mr = sibling_merge(g)
     h = mr.graph
-    lb = crossing_lower_bound(h)
+    lb = max(1, crossing_lower_bound(h))
     hi = budgets[-1]
     if lb > hi:
-        return _ComponentOutcome(None, None, 0, 0, 0, 0, False)
+        return _ComponentOutcome(None, None, 0, 0, 0, 0, 0, False)
 
     # the optimum is at most any drawing's count, so a larger budget admits
     # no further optimal pair; the cap keeps the gap budget 4k + a - 1 small
     cap = crossing_number_fast(identity_drawing(h))
-    candidates_x = candidates_y = pairs_evaluated = pruned = 0
+    searches: list[_Search] = []
     for budget in range(max(min(budgets[0], cap), lb), min(hi, cap) + 1):
-        x_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.X, budget, limits))
-        candidates_x += len(x_layouts)
-        if not x_layouts:
-            continue  # no X layout fits a drawing within budget
-        y_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.Y, budget, limits))
-        candidates_y += len(y_layouts)
-        if not y_layouts:
-            continue
-        pairs_total = len(x_layouts) * len(y_layouts)
-        if pairs_total > limits.max_pair_evaluations:
-            raise ResourceLimitError(
-                f"candidate-pair search: {pairs_total} pairs exceeds "
-                f"max_pair_evaluations={limits.max_pair_evaluations}"
-            )
-        best, bi, bj, evaluated = _pair_search(h, x_layouts, y_layouts, lb, budget)
-        pairs_evaluated += evaluated
-        pruned += pairs_total - evaluated
-        if best <= budget:
-            witness_h = drawing_from_ranks(h, x_layouts[bi], y_layouts[bj])
-            witness = _expand_witness(mr, witness_h, g)
-            return _ComponentOutcome(
-                best, witness, candidates_x, candidates_y, pairs_evaluated, pruned, True
-            )
-        # every candidate pair costs more than the budget, so the optimum does too
+        kernel = _pendant_path_kernel(h, budget)
+        found = _search(kernel.graph, budget, lb, limits)
+        searches.append(found)
+        if found.drawing is None:
+            continue  # no drawing of the kernel within budget, so none of h
+        optimum = found.best
+        if optimum < budget:
+            tight = _pendant_path_kernel(h, optimum)
+            if tight.graph.m < kernel.graph.m:
+                kernel = tight
+                found = _search(tight.graph, optimum, lb, limits)
+                searches.append(found)
+                if found.drawing is None or found.best != optimum:
+                    raise SelfCheckError(f"the kernel at budget {optimum} lost the optimum")
+        witness = _expand_witness(mr, _lift_witness(kernel, found.drawing, h), g)
+        return _outcome(found.best, witness, searches, kernel.graph.m)
+    return _outcome(None, None, searches, kernel.graph.m)
+
+
+def _outcome(
+    value: int | None, witness: Drawing | None, searches: list[_Search], kernel_edges: int
+) -> _ComponentOutcome:
+    """A searched component's outcome, with the counts of all its searches."""
     return _ComponentOutcome(
-        None, None, candidates_x, candidates_y, pairs_evaluated, pruned, True
+        value,
+        witness,
+        sum(s.candidates_x for s in searches),
+        sum(s.candidates_y for s in searches),
+        sum(s.pairs_evaluated for s in searches),
+        sum(s.pruned for s in searches),
+        kernel_edges,
+        True,
     )
 
 
@@ -480,8 +615,8 @@ def bcr_component(
     """Exact crossing number of a connected graph, capped at budget.
 
     Returns (value, witness) when the optimum is within budget, else
-    (None, None).  The witness is a drawing of g itself, with merged
-    sibling leaves expanded back out.
+    (None, None).  The witness is a drawing of g itself, with cut pendant
+    paths regrown and merged sibling leaves expanded back out.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -509,8 +644,8 @@ def _solve_components(
     Each component gets the budget left over from its predecessors'
     optima, in one _solve_component call.  Without ascend it is solved at
     that budget alone; with ascend at every budget from its lower bound
-    m - n + 1 up to that one, stopping at the first that admits a
-    drawing, which is then its optimum.  The search either way stops at
+    (see _solve_component) up to that one, stopping at the first that
+    admits a drawing, which is then its optimum.  The search either way stops at
     the first component whose optimum exceeds its budget.  A "yes"
     report carries k itself, or the summed optimum with ascend; stats
     add up over every component solve.
@@ -534,6 +669,7 @@ def _solve_components(
         sum(out.candidates_y for out in outcomes),
         sum(out.pairs_evaluated for out in outcomes),
         sum(out.pruned for out in outcomes),
+        sum(out.kernel_edges for out in outcomes),
     )
     method = "fpt-enum" if any(out.enumerated for out in outcomes) else "fastpath"
     if len(solved) < len(parts):
@@ -576,16 +712,20 @@ def bcr_exact(
     """Smallest k admitting a drawing, searched up to k_max.
 
     The graph is split once and each component is solved to its optimum
-    once, by raising its budget from its lower bound m - n + 1 one step
-    at a time, never past what k_max leaves after the optima before it;
-    by additivity (see bcr_decide) the optima sum to the crossing number.
-    The report carries that k (decision "yes", optimum = k) or decision
-    "no" at k = k_max once some component's ascent runs out of budget.
+    once, by raising its budget one step at a time from its lower bound
+    max(1, m - n + 1) (caterpillars are answered 0 at once), never past
+    what k_max leaves after the optima before it; by additivity (see
+    bcr_decide) the optima sum to the crossing number.  The report
+    carries that k (decision "yes", optimum = k) or decision "no" at
+    k = k_max once some component's ascent runs out of budget.  Each
+    budget t searches the pendant-path kernel at t, so the ascent stops
+    at the optimum c with the kernel built at c.
     Decision, optimum, k, method and witness are those of
     bcr_decide(g, min(bcr(g), k_max)): each component's witness is the
-    lexicographically first optimal pair at every budget that admits it.
-    Stats add up over the component solves of the ascent.  threads has
-    no effect, as in bcr_decide.
+    lift of the lexicographically first optimal pair of its kernel at c,
+    which bcr_decide also returns at every budget from c up.  Stats add
+    up over the component solves of the ascent.  threads has no effect,
+    as in bcr_decide.
     """
     if k_max is None:
         k_max = limits.k_max_default

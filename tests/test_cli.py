@@ -173,6 +173,27 @@ class TestCommands:
         assert "decision: yes" in out
         assert "optimum: 1" in out
 
+    def test_stats_report_the_kernel_size(self, tmp_path, capsys):
+        # C4 with a 7-edge tail at x0: at k = 1 the tail is cut to 4 edges
+        edges = ["x0 y0", "x0 y1", "x1 y0", "x1 y1", "x0 y2"] + [
+            f"x{i} y{j}" for i in range(2, 5) for j in (i, i + 1)
+        ]
+        path = write(tmp_path, "c4tail.bg", "bigraph 5 6\n" + "\n".join(edges) + "\n")
+        code, out, _ = self.run(capsys, "decide", "--k", "1", path, "--json", "-")
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        assert sorted(stats) == [
+            "candidates_x",
+            "candidates_y",
+            "components",
+            "kernel_edges",
+            "pairs_evaluated",
+            "pruned",
+        ]
+        assert stats["kernel_edges"] == 8
+        code, out, _ = self.run(capsys, "decide", "--k", "1", path)
+        assert "kernel_edges=8" in out
+
     def test_json_file_plus_table(self, tmp_path, capsys):
         path = write(tmp_path, "c4.bg", C4_TEXT)
         out_json = tmp_path / "report.json"

@@ -233,6 +233,22 @@ class TestDecide:
         # lower-bound rejection without any enumeration
         assert bcr_decide(c4(), 0).method == "fastpath"
 
+    def test_non_caterpillars_are_rejected_at_budget_zero(self, monkeypatch):
+        # caterpillars are exactly the graphs with bcr 0, so any other
+        # component needs a crossing: the (2, 2, 2) spider, a tree with
+        # m - n + 1 = 0, is rejected at k = 0 without a candidate walk
+        calls = []
+        monkeypatch.setattr(
+            solver_mod, "enumerate_candidates", lambda *args: calls.append(args) or iter(())
+        )
+        spider222 = build_graph(
+            4, 3, [(0, 0), (1, 0), (0, 1), (2, 1), (0, 2), (3, 2)]
+        )
+        assert crossing_lower_bound(spider222) == 0
+        report = bcr_decide(spider222, 0)
+        assert (report.decision, report.optimum, report.method) == ("no", None, "fastpath")
+        assert calls == []
+
     def test_monotone_in_k(self):
         rng = random.Random(67)
         for _ in range(10):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations_with_replacement, permutations
 
+import numpy as np
+
 Triple = tuple[int, int, list[tuple[int, int, int]]]
 
 
@@ -39,6 +41,33 @@ def all_drawings(a: int, b: int):
 def reference_bcr(a: int, b: int, edges) -> int:
     """Exact minimum by full scan; fine for sides up to ~5-6."""
     return min(reference_crossings(edges, fx, fy) for fx, fy in all_drawings(a, b))
+
+
+def scan_bcr(a: int, b: int, edges) -> int:
+    """Exact minimum over all a! * b! drawings, every count in one matrix product.
+
+    A pair of edges with distinct endpoints on both sides crosses iff the
+    signs of its two rank differences disagree, so with sx, sy in {-1, +1}
+    it costs w * (1 - sx * sy) / 2.  Summed over those pairs, the counts of
+    all drawings are (sum(w) - (SX * w) @ SY.T) / 2, where the rows of SX
+    and SY hold the signs under every X and Y layout.  Float64 is exact
+    for the small weights used in tests; meant for sides up to 6.
+    """
+    es = [(e[0], e[1], e[2] if len(e) == 3 else 1) for e in edges]
+    pairs = [
+        (x1, x2, y1, y2, w1 * w2)
+        for i, (x1, y1, w1) in enumerate(es)
+        for x2, y2, w2 in es[i + 1 :]
+        if x1 != x2 and y1 != y2
+    ]
+    if not pairs:
+        return 0
+    x1, x2, y1, y2, w = (np.array(col) for col in zip(*pairs))
+    fx = np.array(list(permutations(range(a))))
+    fy = np.array(list(permutations(range(b))))
+    sx = np.sign(fx[:, x1] - fx[:, x2]) * w.astype(np.float64)
+    sy = np.sign(fy[:, y1] - fy[:, y2]).astype(np.float64)
+    return int(round((w.sum() - (sx @ sy.T).max()) / 2))
 
 
 def is_connected_triple(a: int, b: int, edges) -> bool:
@@ -261,6 +290,27 @@ def connected_graph_classes(max_a: int, max_b: int):
                 edges = [(x, y, 1) for x in range(a) for y in range(b) if rows[x] >> y & 1]
                 if is_connected_triple(a, b, edges):
                     yield a, b, edges
+
+
+def with_pendant_path(t: Triple, on_x: bool, v: int, length: int, leaf_weight: int = 1) -> Triple:
+    """t plus a path of length edges hanging off vertex v (on X iff on_x).
+
+    The path's vertices are new, numbered after the existing ones on each
+    side; its last edge, the leaf edge, gets leaf_weight.
+    """
+    a, b, edges = t
+    edges = list(edges)
+    prev = v
+    for i in range(length):
+        w = leaf_weight if i == length - 1 else 1
+        if on_x:
+            edges.append((prev, b, w))
+            prev, b = b, b + 1
+        else:
+            edges.append((a, prev, w))
+            prev, a = a, a + 1
+        on_x = not on_x
+    return a, b, edges
 
 
 def random_caterpillar(rng, max_spine: int = 8, max_leaves: int = 3) -> Triple:
