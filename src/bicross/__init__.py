@@ -7,6 +7,9 @@ exact optimum:
     >>> c4 = bicross.build_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     >>> bicross.bcr_exact(c4).optimum
     1
+
+__all__ holds the names the README documents.  A few more helpers stay
+importable from the package without being part of that API.
 """
 
 from .drawing import (
@@ -34,7 +37,6 @@ from .graph import (
     BipartiteGraph,
     GraphComponent,
     GraphError,
-    MergeResult,
     SiblingPair,
     Side,
     VertexId,
@@ -47,14 +49,13 @@ from .graph import (
     sibling_merge,
     split_components,
 )
-from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
+from .limits import Limits, ResourceLimitError
 from .solver import (
     CensusResult,
     SelfCheckError,
     SolveReport,
     SolveStats,
     bcr_bruteforce,
-    bcr_component,
     bcr_decide,
     bcr_exact,
     census,
@@ -66,13 +67,11 @@ __all__ = [
     "BipartiteGraph",
     "CandidateEncoding",
     "CensusResult",
-    "DEFAULT_LIMITS",
     "Drawing",
     "GraphComponent",
     "GraphError",
     "Layout",
     "Limits",
-    "MergeResult",
     "ResourceLimitError",
     "SelfCheckError",
     "SiblingPair",
@@ -80,9 +79,7 @@ __all__ = [
     "SolveReport",
     "SolveStats",
     "SpineMap",
-    "VertexId",
     "bcr_bruteforce",
-    "bcr_component",
     "bcr_decide",
     "bcr_exact",
     "build_graph",
@@ -97,15 +94,8 @@ __all__ = [
     "encoding_from_layout",
     "enumerate_candidates",
     "find_sibling_pairs",
-    "gap_budget",
-    "identity_drawing",
     "is_caterpillar_forest",
-    "is_connected",
-    "layout_from_sequence",
     "merge_sibling_leaves",
-    "sibling_merge",
     "split_components",
-    "validate_layout",
     "verify_spine",
-    "__version__",
 ]

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .drawing import Drawing, crossing_number_fast
@@ -170,14 +170,7 @@ def solve_document(
         "decision": report.decision,
         "optimum": report.optimum if report.optimum is not None else "exceeds_budget",
         "witness": witness,
-        "stats": {
-            "components": report.stats.components,
-            "candidates_x": report.stats.candidates_x,
-            "candidates_y": report.stats.candidates_y,
-            "pairs_evaluated": report.stats.pairs_evaluated,
-            "pruned": report.stats.pruned,
-            "kernel_edges": report.stats.kernel_edges,
-        },
+        "stats": asdict(report.stats),
         "method": report.method,
         "wall_time_ms": wall_time_ms,
     }

@@ -8,7 +8,6 @@ that many merged sibling leaves", which keeps all crossing arithmetic exact.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -179,23 +178,9 @@ def build_graph(
 # -- connectivity ----------------------------------------------------------
 
 
-def _combined_adjacency(g: BipartiteGraph) -> list[list[int]]:
-    """Adjacency over combined ids: X vertex i -> i, Y vertex j -> x_count + j."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for x, y, _ in g.edges:
-        adj[x].append(g.x_count + y)
-        adj[g.x_count + y].append(x)
-    for nbrs in adj:
-        nbrs.sort()
-    return adj
-
-
-def _component_count(g: BipartiteGraph) -> int:
-    """Number of connected components, isolated vertices included.
-
-    Union-find over the edge list on combined ids (X vertex i -> i, Y
-    vertex j -> x_count + j); nothing but the parent table is allocated.
-    """
+def _union_find(g: BipartiteGraph) -> tuple[list[int], int]:
+    """Union-find parent table over combined ids (X vertex i -> i, Y vertex
+    j -> x_count + j) and the number of components, isolated vertices included."""
     parent = list(range(g.n))
     count = g.n
     xc = g.x_count
@@ -209,7 +194,12 @@ def _component_count(g: BipartiteGraph) -> int:
         if u != v:
             parent[u] = v
             count -= 1
-    return count
+    return parent, count
+
+
+def _component_count(g: BipartiteGraph) -> int:
+    """Number of connected components, isolated vertices included."""
+    return _union_find(g)[1]
 
 
 def is_connected(g: BipartiteGraph) -> bool:
@@ -237,35 +227,30 @@ def split_components(g: BipartiteGraph) -> list[GraphComponent]:
     Components are ordered by their smallest original X index; components
     with no X vertex (isolated Y vertices) follow, ordered by smallest Y.
     """
-    adj = _combined_adjacency(g)
-    comp = [-1] * g.n  # component number of each combined id
+    parent, _ = _union_find(g)
+    xc = g.x_count
+    number = [-1] * g.n  # component number of each root
+    comp = [0] * g.n  # component number of each combined id
     local = [0] * g.n  # index of each combined id within its component's side
     sides: list[tuple[list[int], list[int]]] = []
-    # Seeding from x0, x1, ... then y0, y1, ... yields exactly the required order.
-    for seed in range(g.n):
-        if comp[seed] >= 0:
-            continue
-        comp[seed] = len(sides)
-        members = [seed]
-        queue = deque([seed])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if comp[w] < 0:
-                    comp[w] = comp[seed]
-                    members.append(w)
-                    queue.append(w)
-        xs = sorted(v for v in members if v < g.x_count)
-        ys = sorted(v - g.x_count for v in members if v >= g.x_count)
-        for i, x in enumerate(xs):
-            local[x] = i
-        for i, y in enumerate(ys):
-            local[g.x_count + y] = i
-        sides.append((xs, ys))
+    # Numbering roots in the order x0, x1, ... then y0, y1, ... first reach
+    # them yields exactly the required order, with ascending side tables.
+    for v in range(g.n):
+        r = v
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        c = number[r]
+        if c < 0:
+            c = number[r] = len(sides)
+            sides.append(([], []))
+        comp[v] = c
+        members = sides[c][v >= xc]
+        local[v] = len(members)
+        members.append(v if v < xc else v - xc)
     # one pass buckets the sorted edges, keeping them sorted per component
     buckets: list[list[tuple[int, int, int]]] = [[] for _ in sides]
     for x, y, w in g.edges:
-        buckets[comp[x]].append((local[x], local[g.x_count + y], w))
+        buckets[comp[x]].append((local[x], local[xc + y], w))
     return [
         GraphComponent(
             _derived_graph(len(xs), len(ys), tuple(edges)), tuple(xs), tuple(ys)
@@ -385,7 +370,9 @@ class PathKernel:
     (ascending), and likewise for ``y_vertices``.  ``paths`` lists every
     cut pendant path as (side of p0, (p0, p1, ..., pL)) in the input's
     indexing: p0 lies on that side, p1 on the other, and so on.  The
-    kernel keeps p0 ... p``keep`` of each of them.
+    kernel keeps p0 ... p``keep`` of each of them.  ``longest`` counts the
+    edges of the longest pendant path, cut or not (0 if none), so a kernel
+    cut for a smaller budget c is smaller iff ``longest > 2 * c + 2``.
     """
 
     graph: BipartiteGraph
@@ -393,6 +380,7 @@ class PathKernel:
     y_vertices: tuple[int, ...]
     paths: tuple[tuple[Side, tuple[int, ...]], ...]
     keep: int
+    longest: int
 
 
 def _pendant_path_kernel(g: BipartiteGraph, budget: int) -> PathKernel:
@@ -441,6 +429,7 @@ def _pendant_path_kernel(g: BipartiteGraph, budget: int) -> PathKernel:
     adjs = (g.x_adj, g.y_adj)
     paths: list[tuple[Side, tuple[int, ...]]] = []
     drop: tuple[set[int], set[int]] = (set(), set())
+    longest = 0
     for leaf_side in (0, 1):
         for leaf, nbrs in enumerate(adjs[leaf_side]):
             if len(nbrs) != 1:
@@ -454,14 +443,19 @@ def _pendant_path_kernel(g: BipartiteGraph, budget: int) -> PathKernel:
                 chain.append(v)
                 if len(adjs[side][v]) != 2:
                     break
-            if len(adjs[side][v]) < 3 or len(chain) - 1 <= keep:
-                continue  # a path component, or short enough already
+            if len(adjs[side][v]) < 3:
+                continue  # a path component
+            longest = max(longest, len(chain) - 1)
+            if len(chain) - 1 <= keep:
+                continue  # short enough already
             chain.reverse()
             paths.append((Side.X if side == 0 else Side.Y, tuple(chain)))
             for i in range(keep + 1, len(chain)):
                 drop[(side + i) % 2].add(chain[i])
     if not paths:
-        return PathKernel(g, tuple(range(g.x_count)), tuple(range(g.y_count)), (), keep)
+        return PathKernel(
+            g, tuple(range(g.x_count)), tuple(range(g.y_count)), (), keep, longest
+        )
     keep_x = [x for x in range(g.x_count) if x not in drop[0]]
     keep_y = [y for y in range(g.y_count) if y not in drop[1]]
     new_x = {orig: i for i, orig in enumerate(keep_x)}
@@ -476,7 +470,7 @@ def _pendant_path_kernel(g: BipartiteGraph, budget: int) -> PathKernel:
             if x in new_x and y in new_y
         ),
     )
-    return PathKernel(kernel, tuple(keep_x), tuple(keep_y), tuple(paths), keep)
+    return PathKernel(kernel, tuple(keep_x), tuple(keep_y), tuple(paths), keep, longest)
 
 
 # -- cheap bounds and fast paths --------------------------------------------

@@ -23,7 +23,8 @@ class Limits:
         max_candidates_per_side: cap on distinct candidate layouts kept
             per side during enumeration.
         max_pair_evaluations: cap on candidate-pair crossing evaluations
-            in a single component search.
+            in a single component search, and on the layout pairs an
+            exhaustive scan (oracle or census) would visit.
         max_gap_budget: cap on 4*k + a - 1, the ceiling on the raw gap
             total of a side's candidate layouts (the walk itself charges
             a leaf-aware cost against 4*k); keeps a runaway k from

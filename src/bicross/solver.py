@@ -19,7 +19,8 @@ bicross.enumeration).  So the minimum over candidate pairs is the exact
 crossing number of the kernel whenever that number is within budget, the
 lexicographically first optimal pair is the same as over all layout pairs
 of the kernel, and an empty stream proves that the optimum exceeds the
-budget.
+budget.  Work is counted in one record, SolveStats: the counts of each
+search add up over the budgets of a component, then over the components.
 
 The cross-product search is vectorized: for every unordered edge pair
 that can cross (distinct endpoints on both sides), a layout induces a
@@ -47,12 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 
 from .drawing import (
     Drawing,
-    Layout,
     crossing_number_fast,
     drawing_from_ranks,
     identity_drawing,
@@ -62,7 +63,6 @@ from .enumeration import count_bound, enumerate_candidates
 from .graph import (
     BipartiteGraph,
     GraphComponent,
-    GraphError,
     MergeResult,
     PathKernel,
     Side,
@@ -70,7 +70,6 @@ from .graph import (
     crossing_lower_bound,
     find_sibling_pairs,
     is_caterpillar_forest,
-    is_connected,
     sibling_merge,
     split_components,
 )
@@ -85,10 +84,17 @@ class SelfCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Work counts of a solve, summed over its components.
+    """Work counts of one search, one component or a whole solve, which add up.
 
-    kernel_edges sums, over the components that reached enumeration, the
-    edge count of the last pendant-path kernel searched.
+    components: connected components of the graph, isolated vertices
+        included (0 in the counts of a search or a component).
+    candidates_x, candidates_y: candidate layouts streamed per side.
+    pairs_evaluated: candidate pairs the pair search counted.
+    pruned: candidate pairs the pair search skipped by its early exit at
+        the lower bound; it does not count branches cut in the walk.
+    kernel_edges: per component that reached enumeration, the edge count
+        of the last pendant-path kernel searched, summed.  Every kernel
+        has at least 4 edges, so it is positive iff an enumeration ran.
     """
 
     components: int
@@ -97,6 +103,19 @@ class SolveStats:
     pairs_evaluated: int
     pruned: int
     kernel_edges: int
+
+    def __add__(self, other: SolveStats) -> SolveStats:
+        return SolveStats(
+            self.components + other.components,
+            self.candidates_x + other.candidates_x,
+            self.candidates_y + other.candidates_y,
+            self.pairs_evaluated + other.pairs_evaluated,
+            self.pruned + other.pruned,
+            self.kernel_edges + other.kernel_edges,
+        )
+
+
+_NO_WORK = SolveStats(0, 0, 0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -107,9 +126,8 @@ class SolveReport:
     optimum is None when it exceeds the budget; a witness drawing is
     attached exactly on "yes" and its recount equals the optimum.
     method is "fastpath" when every component was settled by the
-    caterpillar/trivial/lower-bound shortcuts, "fpt-enum" when at least
-    one candidate enumeration ran, and "oracle" is reserved for reports
-    assembled from the brute-force scanner.
+    caterpillar or lower-bound shortcuts, and "fpt-enum" when at least
+    one candidate enumeration ran (exactly when stats.kernel_edges > 0).
     """
 
     decision: str
@@ -147,6 +165,23 @@ def _checked(report: SolveReport) -> SolveReport:
 # -- brute-force oracle ------------------------------------------------------
 
 
+def _scan_size(g: BipartiteGraph, limits: Limits, name: str) -> int:
+    """The a! * b! layout pairs the exhaustive scan name ("oracle" or "census")
+    of g would visit; raises unless both sides and that count are within limits."""
+    a, b = g.x_count, g.y_count
+    if a > limits.oracle_max_side or b > limits.oracle_max_side:
+        raise ResourceLimitError(
+            f"{name} limited to sides of {limits.oracle_max_side}; got {a}x{b}"
+        )
+    pairs = factorial(a) * factorial(b)
+    if pairs > limits.max_pair_evaluations:
+        raise ResourceLimitError(
+            f"{name} would scan {pairs} pairs, over max_pair_evaluations="
+            f"{limits.max_pair_evaluations}"
+        )
+    return pairs
+
+
 def _count_capped(ex: list[tuple[int, int, int]], fy, cap: int | None) -> int | None:
     """Weighted crossing count of pre-ranked edges, or None once it exceeds cap.
 
@@ -171,14 +206,11 @@ def bcr_bruteforce(
     """Exact minimum by scanning every layout pair, with a witness.
 
     The witness is the lexicographically smallest (fx, fy) rank-array pair
-    attaining the minimum; both sides must be within the configured oracle
-    size limit.
+    attaining the minimum; the scan must be within the limits of
+    _scan_size.
     """
+    _scan_size(g, limits, "oracle")
     a, b = g.x_count, g.y_count
-    if a > limits.oracle_max_side or b > limits.oracle_max_side:
-        raise ResourceLimitError(
-            f"oracle limited to sides of {limits.oracle_max_side}; got {a}x{b}"
-        )
     best: int | None = None
     best_fx: tuple[int, ...] = ()
     best_fy: tuple[int, ...] = ()
@@ -219,21 +251,8 @@ def census(g: BipartiteGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Census
     """Count all drawings of g with at most k crossings by exhaustive scan."""
     if k < 0:
         raise ValueError("crossing budget must be non-negative")
+    pairs = _scan_size(g, limits, "census")
     a, b = g.x_count, g.y_count
-    if a > limits.oracle_max_side or b > limits.oracle_max_side:
-        raise ResourceLimitError(
-            f"census limited to sides of {limits.oracle_max_side}; got {a}x{b}"
-        )
-    pairs = 1
-    for i in range(2, a + 1):
-        pairs *= i
-    for j in range(2, b + 1):
-        pairs *= j
-    if pairs > limits.max_pair_evaluations:
-        raise ResourceLimitError(
-            f"census would scan {pairs} pairs, over max_pair_evaluations="
-            f"{limits.max_pair_evaluations}"
-        )
     count = 0
     for fx in permutations(range(a)):
         ex = [(fx[x], y, w) for x, y, w in g.edges]
@@ -473,44 +492,22 @@ def _pair_search(
 # -- per-component pipeline ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ComponentOutcome:
-    value: int | None
-    witness: Drawing | None
-    candidates_x: int
-    candidates_y: int
-    pairs_evaluated: int
-    pruned: int
-    kernel_edges: int
-    enumerated: bool
-
-
-@dataclass(frozen=True)
-class _Search:
-    """One budget's candidate-pair search: the best drawing if it fits, and counts."""
-
-    best: int
-    drawing: Drawing | None
-    candidates_x: int
-    candidates_y: int
-    pairs_evaluated: int
-    pruned: int
-
-
-def _search(h: BipartiteGraph, budget: int, lb: int, limits: Limits) -> _Search:
+def _search(
+    h: BipartiteGraph, budget: int, lb: int, limits: Limits
+) -> tuple[int, Drawing | None, SolveStats]:
     """Enumerate both sides of h within budget and search their cross product.
 
-    drawing is the lexicographically first pair of minimum count when that
-    count is at most budget, else None.  Y is enumerated only when the X
-    stream is non-empty: an empty X stream already proves the optimum
-    exceeds the budget.
+    Returns (best, drawing, stats): drawing is the lexicographically first
+    pair of minimum count best if best <= budget, else None.  Y is
+    enumerated only when the X stream is non-empty: an empty X stream
+    already proves the optimum exceeds the budget.
     """
     x_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.X, budget, limits))
     if not x_layouts:
-        return _Search(budget + 1, None, 0, 0, 0, 0)
+        return budget + 1, None, _NO_WORK
     y_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.Y, budget, limits))
     if not y_layouts:
-        return _Search(budget + 1, None, len(x_layouts), 0, 0, 0)
+        return budget + 1, None, SolveStats(0, len(x_layouts), 0, 0, 0, 0)
     pairs_total = len(x_layouts) * len(y_layouts)
     if pairs_total > limits.max_pair_evaluations:
         raise ResourceLimitError(
@@ -518,24 +515,28 @@ def _search(h: BipartiteGraph, budget: int, lb: int, limits: Limits) -> _Search:
             f"max_pair_evaluations={limits.max_pair_evaluations}"
         )
     best, bi, bj, evaluated = _pair_search(h, x_layouts, y_layouts, lb, budget)
-    drawing = None
-    if best <= budget:
-        drawing = drawing_from_ranks(h, x_layouts[bi], y_layouts[bj])
-    return _Search(
-        best, drawing, len(x_layouts), len(y_layouts), evaluated, pairs_total - evaluated
-    )
+    pruned = pairs_total - evaluated
+    stats = SolveStats(0, len(x_layouts), len(y_layouts), evaluated, pruned, 0)
+    if best > budget:
+        return best, None, stats
+    return best, drawing_from_ranks(h, x_layouts[bi], y_layouts[bj]), stats
 
 
-def _solve_component(g: BipartiteGraph, budgets: range, limits: Limits) -> _ComponentOutcome:
+def _solve_component(
+    g: BipartiteGraph, budgets: range, limits: Limits
+) -> tuple[int | None, Drawing | None, SolveStats]:
     """Optimum of the connected graph g if it is at most budgets[-1].
 
+    Returns (value, witness, stats): the optimum and a drawing of g that
+    attains it, or (None, None) when the optimum exceeds budgets[-1].
     budgets is the ascending run lo..hi to try: one budget for a decision
     (lo = hi), the whole ascent for an exact solve (lo = 0).  The search
     stops at the first budget whose best candidate pair fits it; the
     streams hold every drawing within that budget, so that pair's count
     is the optimum.  The set-up below runs once per call; only the
-    pendant-path kernel, enumeration and pair search repeat per budget,
-    and the outcome's counts add up over every search.
+    pendant-path kernel, enumeration and pair search repeat per budget.
+    stats adds up the counts of every search, plus the edge count of the
+    last kernel searched; it is all zeros when no search ran.
 
     Caterpillars are answered 0 on g itself, before any merge, with the
     outcome the merged graph would give.  The sibling merge preserves bcr
@@ -555,79 +556,43 @@ def _solve_component(g: BipartiteGraph, budgets: range, limits: Limits) -> _Comp
     lexicographically first optimal pair of the kernel built at the
     optimum c, so it does not depend on the budget: the ascent stops at
     t = c, and a decision at t > c searches once more at c when that
-    kernel is smaller.
+    kernel is smaller, that is when some pendant path is longer than
+    2c + 2 edges.
+
+    The budget loop below always runs at least once: lb <= hi, and
+    lb <= bcr(h) <= cap.  So a component reaches enumeration exactly
+    when stats.kernel_edges > 0 (a kernel is never a caterpillar, so it
+    has a cycle or a vertex of degree 3 and at least 4 edges).
     """
     if is_caterpillar_forest(g):
-        return _ComponentOutcome(0, _caterpillar_drawing(g), 0, 0, 0, 0, 0, False)
+        return 0, _caterpillar_drawing(g), _NO_WORK
 
     mr = sibling_merge(g)
     h = mr.graph
     lb = max(1, crossing_lower_bound(h))
     hi = budgets[-1]
     if lb > hi:
-        return _ComponentOutcome(None, None, 0, 0, 0, 0, 0, False)
+        return None, None, _NO_WORK
 
     # the optimum is at most any drawing's count, so a larger budget admits
     # no further optimal pair; the cap keeps the gap budget 4k + a - 1 small
     cap = crossing_number_fast(identity_drawing(h))
-    searches: list[_Search] = []
+    stats = _NO_WORK
     for budget in range(max(min(budgets[0], cap), lb), min(hi, cap) + 1):
         kernel = _pendant_path_kernel(h, budget)
-        found = _search(kernel.graph, budget, lb, limits)
-        searches.append(found)
-        if found.drawing is None:
+        best, drawing, found = _search(kernel.graph, budget, lb, limits)
+        stats += found
+        if drawing is None:
             continue  # no drawing of the kernel within budget, so none of h
-        optimum = found.best
-        if optimum < budget:
-            tight = _pendant_path_kernel(h, optimum)
-            if tight.graph.m < kernel.graph.m:
-                kernel = tight
-                found = _search(tight.graph, optimum, lb, limits)
-                searches.append(found)
-                if found.drawing is None or found.best != optimum:
-                    raise SelfCheckError(f"the kernel at budget {optimum} lost the optimum")
-        witness = _expand_witness(mr, _lift_witness(kernel, found.drawing, h), g)
-        return _outcome(found.best, witness, searches, kernel.graph.m)
-    return _outcome(None, None, searches, kernel.graph.m)
-
-
-def _outcome(
-    value: int | None, witness: Drawing | None, searches: list[_Search], kernel_edges: int
-) -> _ComponentOutcome:
-    """A searched component's outcome, with the counts of all its searches."""
-    return _ComponentOutcome(
-        value,
-        witness,
-        sum(s.candidates_x for s in searches),
-        sum(s.candidates_y for s in searches),
-        sum(s.pairs_evaluated for s in searches),
-        sum(s.pruned for s in searches),
-        kernel_edges,
-        True,
-    )
-
-
-def bcr_component(
-    g: BipartiteGraph,
-    budget: int,
-    limits: Limits = DEFAULT_LIMITS,
-) -> tuple[int | None, Drawing | None]:
-    """Exact crossing number of a connected graph, capped at budget.
-
-    Returns (value, witness) when the optimum is within budget, else
-    (None, None).  The witness is a drawing of g itself, with cut pendant
-    paths regrown and merged sibling leaves expanded back out.
-    """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    if not is_connected(g):
-        raise GraphError("bcr_component requires a connected graph")
-    out = _solve_component(g, range(budget, budget + 1), limits)
-    if out.value is not None and (
-        out.witness is None or crossing_number_fast(out.witness) != out.value
-    ):
-        raise SelfCheckError(f"component witness does not recount to {out.value}")
-    return out.value, out.witness
+        if best < budget and kernel.longest > 2 * best + 2:
+            kernel = _pendant_path_kernel(h, best)
+            tight_best, drawing, found = _search(kernel.graph, best, lb, limits)
+            stats += found
+            if drawing is None or tight_best != best:
+                raise SelfCheckError(f"the kernel at budget {best} lost the optimum")
+        witness = _expand_witness(mr, _lift_witness(kernel, drawing, h), g)
+        return best, witness, stats + SolveStats(0, 0, 0, 0, 0, kernel.graph.m)
+    return None, None, stats + SolveStats(0, 0, 0, 0, 0, kernel.graph.m)
 
 
 # -- top-level drivers ---------------------------------------------------------
@@ -645,33 +610,27 @@ def _solve_components(
     optima, in one _solve_component call.  Without ascend it is solved at
     that budget alone; with ascend at every budget from its lower bound
     (see _solve_component) up to that one, stopping at the first that
-    admits a drawing, which is then its optimum.  The search either way stops at
-    the first component whose optimum exceeds its budget.  A "yes"
-    report carries k itself, or the summed optimum with ascend; stats
-    add up over every component solve.
+    admits a drawing, which is then its optimum.  The search either way
+    stops at the first component whose optimum exceeds its budget.  A
+    "yes" report carries k itself, or the summed optimum with ascend.
+    stats are the component count plus the stats of every component
+    solved, and method is "fpt-enum" iff their kernel_edges is positive.
     """
     parts = split_components(g)
-    outcomes: list[_ComponentOutcome] = []
+    stats = SolveStats(len(parts), 0, 0, 0, 0, 0)
     solved: list[tuple[GraphComponent, Drawing]] = []
     remaining = k
     for part in parts:
         budgets = range(0 if ascend else remaining, remaining + 1)
-        out = _solve_component(part.graph, budgets, limits)
-        outcomes.append(out)
-        if out.value is None:
+        value, witness, found = _solve_component(part.graph, budgets, limits)
+        stats += found
+        if value is None:
             break
-        remaining -= out.value
-        assert out.witness is not None
-        solved.append((part, out.witness))
-    stats = SolveStats(
-        len(parts),
-        sum(out.candidates_x for out in outcomes),
-        sum(out.candidates_y for out in outcomes),
-        sum(out.pairs_evaluated for out in outcomes),
-        sum(out.pruned for out in outcomes),
-        sum(out.kernel_edges for out in outcomes),
-    )
-    method = "fpt-enum" if any(out.enumerated for out in outcomes) else "fastpath"
+        if witness is None:
+            raise SelfCheckError(f"component optimum {value} came without a witness")
+        remaining -= value
+        solved.append((part, witness))
+    method = "fpt-enum" if stats.kernel_edges else "fastpath"
     if len(solved) < len(parts):
         return _checked(SolveReport("no", None, None, stats, method, k))
     total = k - remaining

@@ -158,6 +158,52 @@ class TestComponents:
             )
             assert back == sorted(g.edges)
 
+    def test_matches_a_bfs_reference(self):
+        # components numbered by a BFS seeded at x0, x1, ..., then y0, y1, ...
+        def reference(g):
+            adj = [[] for _ in range(g.n)]
+            for x, y, _ in g.edges:
+                adj[x].append(g.x_count + y)
+                adj[g.x_count + y].append(x)
+            seen = [False] * g.n
+            parts = []
+            for seed in range(g.n):
+                if seen[seed]:
+                    continue
+                seen[seed] = True
+                members, queue = [seed], [seed]
+                while queue:
+                    v = queue.pop()
+                    for w in adj[v]:
+                        if not seen[w]:
+                            seen[w] = True
+                            members.append(w)
+                            queue.append(w)
+                xs = sorted(v for v in members if v < g.x_count)
+                ys = sorted(v - g.x_count for v in members if v >= g.x_count)
+                lx = {x: i for i, x in enumerate(xs)}
+                ly = {y: i for i, y in enumerate(ys)}
+                edges = sorted(
+                    (lx[x], ly[y], w) for x, y, w in g.edges if x in lx
+                )
+                parts.append((tuple(xs), tuple(ys), edges))
+            return parts
+
+        rng = random.Random(31)
+        graphs = disconnected_graphs()
+        for _ in range(100):
+            a, b, edges = random_disconnected_graph(rng, max_block_side=4, edge_prob=0.4)
+            graphs.append(BipartiteGraph(a, b, tuple(edges)))
+        for g in graphs:
+            got = [
+                (p.x_vertices, p.y_vertices, list(p.graph.edges))
+                for p in split_components(g)
+            ]
+            assert got == reference(g)
+            for p in split_components(g):
+                assert (p.graph.x_count, p.graph.y_count) == (len(p.x_vertices), len(p.y_vertices))
+        assert sum(isolated(g) == (True, True) for g in graphs) >= 40
+
     def test_is_connected(self):
         assert is_connected(c4())
         assert not is_connected(build_graph(2, 2, [(0, 0), (1, 1)]))

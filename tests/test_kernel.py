@@ -11,13 +11,14 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 import bicross.graph as graph_mod
 import bicross.solver as solver_mod
 from bicross import (
     BipartiteGraph,
     Side,
     bcr_bruteforce,
-    bcr_component,
     bcr_decide,
     bcr_exact,
     crossing_lower_bound,
@@ -62,7 +63,7 @@ class TestKernelShape:
         g = c4_tail(10)
         for budget, kept in ((1, 4), (2, 6), (3, 8)):
             kernel = kernel_of(g, budget)
-            assert kernel.keep == kept
+            assert (kernel.keep, kernel.longest) == (kept, 10)
             assert kernel.graph.m == 4 + kept
             ((side, path),) = kernel.paths
             assert len(path) == 11 and path[0] == 0
@@ -74,6 +75,7 @@ class TestKernelShape:
         g = c4_tail(4)
         kernel = kernel_of(g, 1)
         assert kernel.graph is g and kernel.paths == ()
+        assert kernel.longest == 4
         assert kernel.x_vertices == tuple(range(g.x_count))
         assert kernel.y_vertices == tuple(range(g.y_count))
 
@@ -81,6 +83,7 @@ class TestKernelShape:
         g = spider((8, 2, 6, 5))
         kernel = kernel_of(g, 1)
         assert sorted(len(path) - 1 for _, path in kernel.paths) == [5, 6, 8]
+        assert kernel.longest == 8
         assert kernel.graph.m == 4 + 2 + 4 + 4
 
     def test_kernel_keeps_the_invariants(self):
@@ -187,6 +190,25 @@ class TestKernelSolve:
         assert budgets == [(10, 1), (12, 2)]
         assert exact.witness == report.witness == bcr_decide(g, 2).witness
 
+    @pytest.mark.parametrize("length, builds", [(4, 1), (6, 1), (7, 2), (8, 2)])
+    def test_tight_kernel_built_only_when_smaller(self, monkeypatch, length, builds):
+        # C6 + tail has optimum 2: a decision at 3 rebuilds the kernel at 2
+        # only when the tail is longer than 2 * 2 + 2 edges
+        built = []
+        real = solver_mod._pendant_path_kernel
+
+        def spying(h, budget):
+            built.append(budget)
+            return real(h, budget)
+
+        monkeypatch.setattr(solver_mod, "_pendant_path_kernel", spying)
+        c6 = (3, 3, [(i, i, 1) for i in range(3)] + [((i + 1) % 3, i, 1) for i in range(3)])
+        g = BipartiteGraph(*with_pendant_path(c6, True, 0, length))
+        report = bcr_decide(g, 3)
+        assert built == [3, 2][:builds]
+        assert report.optimum == 2
+        assert report.witness == bcr_decide(g, 2).witness
+
     def test_witness_does_not_depend_on_the_budget_on_unions(self):
         # decide(g, k) hands the first component all of k, more than its
         # optimum whenever a later component needs a crossing
@@ -222,7 +244,7 @@ class TestKernelSolve:
                 assert got == (want.decision, want.optimum, want.k, want.method, want.witness)
             for part in split_components(g):
                 h = graph_mod.sibling_merge(part.graph).graph
-                value, _ = bcr_component(part.graph, 40)
+                value = bcr_exact(part.graph, 40).optimum
                 cut += bool(kernel_of(h, value).paths)
         assert cut >= 30
 

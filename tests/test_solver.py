@@ -17,11 +17,9 @@ import bicross.graph as graph_mod
 import bicross.solver as solver_mod
 from bicross import (
     BipartiteGraph,
-    GraphError,
     ResourceLimitError,
     Side,
     bcr_bruteforce,
-    bcr_component,
     bcr_decide,
     bcr_exact,
     build_graph,
@@ -109,6 +107,19 @@ class TestBruteforce:
         with pytest.raises(ResourceLimitError, match="oracle"):
             bcr_bruteforce(star(9))
 
+    def test_pair_limit_fails_before_scanning(self, monkeypatch):
+        # sides of 8 pass the side limit, but 8! * 8! layout pairs are over
+        # max_pair_evaluations, so neither exhaustive scan may start
+        def scanning(*args):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(solver_mod, "_count_capped", scanning)
+        c16 = build_graph(8, 8, [(i, i) for i in range(8)] + [(i, (i + 1) % 8) for i in range(8)])
+        with pytest.raises(ResourceLimitError, match="oracle would scan 1625702400 pairs"):
+            bcr_bruteforce(c16)
+        with pytest.raises(ResourceLimitError, match="census would scan 1625702400 pairs"):
+            census(c16, 0)
+
 
 class TestCensus:
     def test_star_k0_counts_factorial(self):
@@ -137,30 +148,34 @@ class TestCensus:
 
 class TestComponentSolve:
     def test_c4_budgets(self):
-        value, witness = bcr_component(c4(), 1)
-        assert value == 1
-        assert crossing_number_fast(witness) == 1
-        assert bcr_component(c4(), 0) == (None, None)
+        report = bcr_decide(c4(), 1)
+        assert report.optimum == 1
+        assert crossing_number_fast(report.witness) == 1
+        report = bcr_decide(c4(), 0)
+        assert (report.decision, report.optimum, report.witness) == ("no", None, None)
 
     def test_star_budget_zero(self):
-        value, witness = bcr_component(star(5), 0)
-        assert value == 0
-        assert crossing_number_fast(witness) == 0
+        report = bcr_decide(star(5), 0)
+        assert report.optimum == 0
+        assert crossing_number_fast(report.witness) == 0
 
     def test_spider_needs_one(self):
-        assert bcr_component(SPIDER, 4)[0] == 1
+        assert bcr_exact(SPIDER, 4).optimum == 1
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(GraphError, match="connected"):
-            bcr_component(build_graph(2, 2, [(0, 0), (1, 1)]), 0)
+    def test_matching_is_two_fastpath_components(self):
+        report = bcr_decide(build_graph(2, 2, [(0, 0), (1, 1)]), 0)
+        assert (report.decision, report.optimum) == ("yes", 0)
+        assert report.stats.components == 2
+        assert report.method == "fastpath"
+        assert report.stats.kernel_edges == 0
 
     def test_witness_is_on_the_original_graph(self):
         # sibling leaves force a merge; the witness must still rank all 6 leaves
         g = build_graph(2, 7, [(0, j) for j in range(6)] + [(0, 6), (1, 6)])
-        value, witness = bcr_component(g, 2)
-        assert value == 0
-        assert witness.graph == g
-        assert len(witness.fy.ranks) == 7
+        report = bcr_decide(g, 2)
+        assert report.optimum == 0
+        assert report.witness.graph == g
+        assert len(report.witness.fy.ranks) == 7
 
 
 class TestCaterpillarFastPath:
@@ -232,6 +247,39 @@ class TestDecide:
         assert bcr_decide(c4(), 1).method == "fpt-enum"
         # lower-bound rejection without any enumeration
         assert bcr_decide(c4(), 0).method == "fastpath"
+
+    def test_method_is_fpt_enum_iff_some_enumeration_ran(self, monkeypatch):
+        # and exactly then is kernel_edges positive, for decide and exact
+        walks = []
+        real = solver_mod.enumerate_candidates
+
+        def spying(*args):
+            walks.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(solver_mod, "enumerate_candidates", spying)
+        seen = set()
+        for seed in range(40):
+            rng = random.Random(300 + seed)
+            a = b = 0
+            edges = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    pa, pb, pe = random_caterpillar(rng, max_spine=5)
+                else:
+                    pa, pb, pe = random_connected_graph(rng, max_n=7, leaf_weights=True)
+                edges += [(x + a, y + b, w) for x, y, w in pe]
+                a += pa
+                b += pb
+            g = BipartiteGraph(a, b, tuple(edges))
+            solves = [lambda k=k: bcr_decide(g, k) for k in range(4)]
+            for solve in solves + [lambda: bcr_exact(g, 12)]:
+                walks.clear()
+                report = solve()
+                enumerated = report.method == "fpt-enum"
+                assert enumerated == bool(walks) == (report.stats.kernel_edges > 0)
+                seen.add((report.method, report.decision))
+        assert seen == {(m, d) for m in ("fastpath", "fpt-enum") for d in ("yes", "no")}
 
     def test_non_caterpillars_are_rejected_at_budget_zero(self, monkeypatch):
         # caterpillars are exactly the graphs with bcr 0, so any other
@@ -391,7 +439,7 @@ class TestExact:
         for g in graphs:
             parts = [part.graph for part in split_components(g)]
             enumerated = sum(not is_caterpillar_forest(h) for h in parts)
-            ascents += sum(bcr_component(h, 40)[0] > crossing_lower_bound(h) for h in parts)
+            ascents += sum(bcr_exact(h, 40).optimum > crossing_lower_bound(h) for h in parts)
             calls.clear()
             assert bcr_exact(g, 40).decision == "yes"
             assert calls.get("is_caterpillar_forest") == len(parts)
@@ -665,7 +713,7 @@ class TestSelfCheck:
 
         solver._pair_search = wrong_index
         c6 = build_graph(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)])
-        for call in (lambda: solver.bcr_decide(c6, 3), lambda: solver.bcr_component(c6, 3)):
+        for call in (lambda: solver.bcr_decide(c6, 3), lambda: solver.bcr_exact(c6, 3)):
             try:
                 call()
             except solver.SelfCheckError as err:
