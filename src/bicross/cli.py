@@ -32,12 +32,21 @@ class ParseError(ValueError):
 # -- graph file grammar ------------------------------------------------------
 
 
+def _number(token: str) -> int | None:
+    """int(token) for ASCII digits only, else None (int() also reads signs and "_")."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    return None
+
+
 def _edge_token(token: str, side: str, line: int, source: str | None) -> int:
-    if not token.startswith(side) or not token[1:].isdigit():
-        raise ParseError(
-            f"expected {side}<index>, got {token!r}", line, source
-        )
-    return int(token[1:])
+    index = _number(token[1:]) if token.startswith(side) else None
+    if index is None:
+        raise ParseError(f"expected {side}<index>, got {token!r}", line, source)
+    return index
 
 
 def parse_graph_text(text: str, source: str | None = None) -> BipartiteGraph:
@@ -46,6 +55,7 @@ def parse_graph_text(text: str, source: str | None = None) -> BipartiteGraph:
     '#' lines are comments; the first payload line must be the header
     "bigraph <x_count> <y_count>"; every further line is an edge
     "x<i> y<j> [weight]" with 0-based indices and weight defaulting to 1.
+    Counts, indices and weights are plain decimals: ASCII digits only.
     """
     x_count = y_count = -1
     edges: list[tuple[int, int, int]] = []
@@ -60,12 +70,9 @@ def parse_graph_text(text: str, source: str | None = None) -> BipartiteGraph:
                 raise ParseError(
                     "expected header 'bigraph <x_count> <y_count>'", line_no, source
                 )
-            try:
-                x_count, y_count = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError("header counts must be integers", line_no, source)
-            if x_count < 0 or y_count < 0:
-                raise ParseError("header counts must be non-negative", line_no, source)
+            x_count, y_count = _number(tokens[1]), _number(tokens[2])
+            if x_count is None or y_count is None:
+                raise ParseError("header counts must be plain decimal integers", line_no, source)
             continue
         if tokens[0] == "bigraph":
             raise ParseError("second header line", line_no, source)
@@ -75,12 +82,10 @@ def parse_graph_text(text: str, source: str | None = None) -> BipartiteGraph:
         y = _edge_token(tokens[1], "y", line_no, source)
         weight = 1
         if len(tokens) == 3:
-            try:
-                weight = int(tokens[2])
-            except ValueError:
-                raise ParseError(f"weight {tokens[2]!r} is not an integer", line_no, source)
-            if weight < 1:
-                raise ParseError("weight must be >= 1", line_no, source)
+            weight = _number(tokens[2])
+            if weight is None or weight < 1:
+                message = f"weight {tokens[2]!r} is not a plain decimal integer >= 1"
+                raise ParseError(message, line_no, source)
         if x >= x_count:
             raise ParseError(f"x{x} out of range (x_count={x_count})", line_no, source)
         if y >= y_count:
@@ -99,7 +104,7 @@ def parse_graph_text(text: str, source: str | None = None) -> BipartiteGraph:
 
 
 def parse_edge_list_text(text: str, source: str | None = None) -> BipartiteGraph:
-    """Importer for headerless edge lists: lines "i j [weight]", bare integers.
+    """Importer for headerless edge lists: lines "i j [weight]", plain decimals.
 
     Side sizes are one past the largest index seen on each side.
     """
@@ -112,12 +117,9 @@ def parse_edge_list_text(text: str, source: str | None = None) -> BipartiteGraph
         tokens = line.split()
         if len(tokens) not in (2, 3):
             raise ParseError("expected '<i> <j> [weight]'", line_no, source)
-        try:
-            values = [int(t) for t in tokens]
-        except ValueError:
-            raise ParseError("indices and weight must be integers", line_no, source)
-        if values[0] < 0 or values[1] < 0:
-            raise ParseError("indices must be non-negative", line_no, source)
+        values = [_number(t) for t in tokens]
+        if None in values:
+            raise ParseError("indices and weight must be plain decimal integers", line_no, source)
         weight = values[2] if len(tokens) == 3 else 1
         if weight < 1:
             raise ParseError("weight must be >= 1", line_no, source)

@@ -46,7 +46,8 @@ the graph is connected and free of sibling pairs.  The mechanism:
    as more vertices are placed and min is monotone, so the partial bound
    never decreases along a branch, and a branch is cut as soon as it
    exceeds k.  A layout of a drawing with at most k crossings has a bound
-   of at most k, so no such layout is lost.
+   of at most k, so no such layout is lost.  The crossable edge pairs and
+   their weights come from BipartiteGraph.crossable_pairs.
 
 5. The stream is therefore exactly the layouts with gap cost at most 4k
    on the spine and one-sided bound at most k, and that set is closed
@@ -315,7 +316,8 @@ def _leaf_slack(g: BipartiteGraph, s: SpineMap) -> list[int]:
     and T(x), and 0 otherwise (also 0 for the root).  Such a leaf can sit
     between x and T(x) without crossing a witness edge of x (module
     docstring, step 2).  x and T(x) are neighbours of mid(x), so they are
-    among its leaves exactly when their own degree is 1.
+    among its leaves exactly when their own degree is 1.  Step 2 allows
+    at most one such leaf, so two or more (sibling leaves) raise GraphError.
     """
     own, other = (g.x_adj, g.y_adj) if s.side is Side.X else (g.y_adj, g.x_adj)
     leaves = [0] * len(other)
@@ -325,26 +327,13 @@ def _leaf_slack(g: BipartiteGraph, s: SpineMap) -> list[int]:
     slack = [0] * len(own)
     for x, mid in s.witness.items():
         others = leaves[mid] - (len(own[x]) == 1) - (len(own[s.successor[x]]) == 1)
-        slack[x] = 1 if others > 0 else 0
+        if others > 1:
+            raise GraphError(
+                f"witness {s.side.other.value}{mid} of {s.side.value}{x} has {others} "
+                "free leaves; enumeration needs a graph with no sibling pairs"
+            )
+        slack[x] = others
     return slack
-
-
-def _crossable_weight(g: BipartiteGraph) -> int:
-    """Total weight of the edge pairs with four distinct endpoints.
-
-    All edge pairs, less those sharing an X vertex and those sharing a Y
-    vertex; no pair shares both, since there are no parallel edges.
-    """
-
-    def pair_weight(groups: list[list[int]]) -> int:
-        return sum((sum(ws) ** 2 - sum(w * w for w in ws)) // 2 for ws in groups)
-
-    at_x: list[list[int]] = [[] for _ in range(g.x_count)]
-    at_y: list[list[int]] = [[] for _ in range(g.y_count)]
-    for x, y, w in g.edges:
-        at_x[x].append(w)
-        at_y[y].append(w)
-    return pair_weight([[w for _, _, w in g.edges]]) - pair_weight(at_x) - pair_weight(at_y)
 
 
 def _order_tables(
@@ -352,34 +341,25 @@ def _order_tables(
 ) -> tuple[list[list[list[tuple[int, int, int]]]], int]:
     """Crossing weights that each same-side order decision settles.
 
-    Opposite-side pairs {lo < hi} are numbered p = 0, 1, ...; for each
-    ordered pair (x, z) of side vertices, tables[x][z] lists
-    (p, to_lo_first, to_hi_first): the edge-pair weight that, once x is
-    ranked left of z, crosses when lo is left of hi and when hi is left of
-    lo respectively.  Also returns the number of opposite-side pairs.
+    One pass over g.crossable_pairs.  Opposite-side pairs {lo < hi} are
+    numbered p = 0, 1, ... as first met; for each ordered pair (x, z) of
+    side vertices, tables[x][z] lists (p, to_lo_first, to_hi_first): the
+    edge-pair weight that, once x is ranked left of z, crosses when lo is
+    left of hi and when hi is left of lo respectively.  Also returns the
+    number of opposite-side pairs.
     """
     a = g.side_count(side)
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(a)]
-    for x, y, w in g.edges:
-        if side is Side.X:
-            nbrs[x].append((y, w))
-        else:
-            nbrs[y].append((x, w))
     pair_index: dict[tuple[int, int], int] = {}
-    tables: list[list[list[tuple[int, int, int]]]] = [[[] for _ in range(a)] for _ in range(a)]
-    for x in range(a):
-        for z in range(a):
-            if x == z:
-                continue
-            acc: dict[int, list[int]] = {}
-            for u, wu in nbrs[x]:
-                for v, wv in nbrs[z]:
-                    if u == v:
-                        continue
-                    # x left of z: edges (x, u) and (z, v) cross iff v is left of u
-                    p = pair_index.setdefault((u, v) if u < v else (v, u), len(pair_index))
-                    acc.setdefault(p, [0, 0])[1 if u < v else 0] += wu * wv
-            tables[x][z] = [(p, lo, hi) for p, (lo, hi) in acc.items()]
+    acc: list[list[dict[int, list[int]]]] = [[{} for _ in range(a)] for _ in range(a)]
+    for x, y, x2, y2, w in g.crossable_pairs:
+        s, t, s2, t2 = (x, y, x2, y2) if side is Side.X else (y, x, y2, x2)
+        p = pair_index.setdefault((t, t2) if t < t2 else (t2, t), len(pair_index))
+        # s left of s2: the edges cross iff t2 is left of t, which is "hi
+        # first" when t < t2; s2 left of s: the other way round
+        hi_first = 1 if t < t2 else 0
+        acc[s][s2].setdefault(p, [0, 0])[hi_first] += w
+        acc[s2][s].setdefault(p, [0, 0])[1 - hi_first] += w
+    tables = [[[(p, lo, hi) for p, (lo, hi) in cell.items()] for cell in row] for row in acc]
     return tables, len(pair_index)
 
 
@@ -392,7 +372,9 @@ def enumerate_candidates(
     """Stream the layouts within the gap cost and the one-sided bound.
 
     Requires a connected graph with no sibling pairs and side size >= 2
-    (the caller merges sibling leaves first).  Contains, for every drawing
+    (the caller merges sibling leaves first); raises GraphError when a
+    spine witness has two or more leaves other than x and T(x), which
+    only sibling leaves give (see _leaf_slack).  Contains, for every drawing
     with at most k crossings, that drawing's layout on this side, and
     every layout it streams has a one-sided crossing bound of at most k.
 
@@ -407,9 +389,9 @@ def enumerate_candidates(
     placed before it to the per-pair sums c_uv, c_vu, and the branch is
     cut once sum(min(c_uv, c_vu)) exceeds k (see the module docstring);
     at a leaf that sum is the full one-sided bound.  The bound can never
-    exceed half the total crossable weight, so when that half is at most
-    k the walk does not track it.  Distinct surviving branches assign
-    some vertex distinct ranks, hence the walk has no duplicates.
+    exceed half the total weight of g.crossable_pairs, so when that half
+    is at most k the walk does not track it.  Distinct surviving branches
+    assign some vertex distinct ranks, hence the walk has no duplicates.
 
     Reversal keeps both the gap costs and the bound (module docstring, step
     5), so only root ranks up to (a - 1) / 2 are walked and each layout
@@ -430,9 +412,7 @@ def enumerate_candidates(
     order = spine.decode_order
     successor = spine.successor
     slack = _leaf_slack(g, spine)
-    # the bound never exceeds half the crossable weight, so it cannot cut
-    # anything once k reaches that half
-    track = 2 * k < _crossable_weight(g)
+    track = 2 * k < sum(w for *_, w in g.crossable_pairs)
     tables, pairs = _order_tables(g, side) if track else ([], 0)
 
     ranks = [0] * a

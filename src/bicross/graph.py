@@ -118,6 +118,17 @@ class BipartiteGraph:
         return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
     @cached_property
+    def crossable_pairs(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """``(x, y, x2, y2, w * w2)`` per edge pair with four distinct endpoints,
+        the pairs that can cross, in edge order; the cost w * w2 is an exact int."""
+        return tuple(
+            (x, y, x2, y2, w * w2)
+            for i, (x, y, w) in enumerate(self.edges)
+            for x2, y2, w2 in self.edges[i + 1 :]
+            if x != x2 and y != y2
+        )
+
+    @cached_property
     def weight(self) -> dict[tuple[int, int], int]:
         return {(x, y): w for x, y, w in self.edges}
 

@@ -28,7 +28,8 @@ sign (+1/-1) for the rank order of the two endpoints on its layer, and
 the pair crosses exactly when the two layers disagree.  With U and V the
 per-side sign matrices and w the pairwise weight products, the count for
 candidate pair (i, j) is (sum(w) - (U_i * w) . V_j) / 2, so a whole block
-of counts is one matrix product.
+of counts is one matrix product.  Pairs and products are the kernel's
+cached crossable_pairs, the table both walks' one-sided bound reads too.
 
 The products are exact in float64 because each weight product is first
 clamped to budget + 1, in Python integers.  A pair of candidates whose
@@ -415,25 +416,6 @@ def _compose_drawing(
 # -- candidate-pair search ---------------------------------------------------
 
 
-def _crossable_pairs(g: BipartiteGraph):
-    """Index/weight arrays for the edge pairs with four distinct endpoints."""
-    x1 = []
-    x2 = []
-    y1 = []
-    y2 = []
-    wp = []
-    edges = g.edges
-    for i, (xi, yi, wi) in enumerate(edges):
-        for xj, yj, wj in edges[i + 1 :]:
-            if xi != xj and yi != yj:
-                x1.append(xi)
-                x2.append(xj)
-                y1.append(yi)
-                y2.append(yj)
-                wp.append(wi * wj)
-    return x1, x2, y1, y2, wp
-
-
 def _pair_search(
     g: BipartiteGraph,
     x_layouts: list[tuple[int, ...]],
@@ -453,20 +435,19 @@ def _pair_search(
     keyword of bcr_decide and bcr_exact is ignored: a thread pool measured
     no faster), and the search stops after the first chunk that brings the
     minimum down to exit_at: enumeration order is row-major over the
-    sorted lists, so that hit is also the tie-break winner.
+    sorted lists, so that hit is also the tie-break winner.  The pairs
+    and products are g.crossable_pairs.
     """
-    x1, x2, y1, y2, wp = _crossable_pairs(g)
-    wp = [min(w, budget + 1) for w in wp]
+    table = g.crossable_pairs
+    wp = [min(w, budget + 1) for *_, w in table]
     mass = sum(wp)
     if mass >= 1 << 53:
         raise ResourceLimitError(
             f"candidate-pair search: weight mass {mass}, clamped at budget + 1 = "
             f"{budget + 1}, reaches 2^53; use a smaller k or smaller edge weights"
         )
-    xi1 = np.asarray(x1, dtype=np.intp)
-    xi2 = np.asarray(x2, dtype=np.intp)
-    yi1 = np.asarray(y1, dtype=np.intp)
-    yi2 = np.asarray(y2, dtype=np.intp)
+    # only the vertex columns go to numpy: the products may overflow int64
+    xi1, yi1, xi2, yi2 = np.array([p[:4] for p in table], dtype=np.intp).reshape(-1, 4).T
     w = np.asarray(wp, dtype=np.float64)
     xmat = np.asarray(x_layouts, dtype=np.int64).reshape(len(x_layouts), -1)
     ymat = np.asarray(y_layouts, dtype=np.int64).reshape(len(y_layouts), -1)

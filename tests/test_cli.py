@@ -83,6 +83,14 @@ class TestParsing:
             ("bigraph 1 1\nx0 y4\n", "out of range", 2),
             ("bigraph 1 1\nbigraph 1 1\n", "second header", 2),
             ("bigraph 1 1\nx0 y0 1 9\n", "expected", 2),
+            # counts, indices and weights are ASCII digits only, which int() is not
+            ("bigraph 1_0 2\n", "header counts must be plain decimal integers", 1),
+            ("bigraph -1 2\n", "header counts", 1),
+            ("bigraph 2 2\nx0 y0 1_0\n", "weight '1_0'", 2),
+            ("bigraph 2 2\nx0 y0 +3\n", "weight", 2),
+            ("bigraph 4 2\nx\u0663 y1\n", "expected x<index>", 2),
+            ("bigraph 4 2\nx\u00b2 y1\n", "expected x<index>", 2),
+            ("bigraph 2 2\nx0 y0 " + "9" * 5000 + "\n", "weight", 2),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment, line):
@@ -116,6 +124,12 @@ class TestParsing:
             parse_edge_list_text("a b\n")
         with pytest.raises(ParseError, match="duplicate"):
             parse_edge_list_text("0 0\n0 0\n")
+
+    @pytest.mark.parametrize("line", ["1_0 0", "+1 0", "0 -1", "0 \u0663", "0 0 1_0"])
+    def test_edge_list_takes_plain_decimals_only(self, line):
+        with pytest.raises(ParseError, match="integers") as err:
+            parse_edge_list_text(f"0 0\n{line}\n", source="g.txt")
+        assert str(err.value).startswith("g.txt:2:")
 
     def test_edge_list_duplicate_names_both_lines(self):
         with pytest.raises(ParseError, match=r"duplicate edge 0 0 \(first on line 1\)") as err:

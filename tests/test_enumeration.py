@@ -193,6 +193,18 @@ class TestEnumerate:
                             realized.add(fx if side is Side.X else fy)
                     assert realized <= stream
 
+    def test_two_free_leaves_at_a_witness_raise(self):
+        # x0, x1 and x3 are sibling leaves of y1, the witness of every
+        # non-root x, so x1 and x2 each see two leaves besides x and T(x)
+        edges = [(0, 1), (1, 1), (2, 0), (2, 1), (3, 1)]
+        g = build_graph(4, 2, edges)
+        assert set(build_spine(g, Side.X, 0).witness.values()) == {1}
+        # the walk would charge the free gap over x0 and x3 and miss this
+        # layout, which has a drawing without crossings
+        assert reference_crossings(edges, (1, 0, 3, 2), (1, 0)) == 0
+        with pytest.raises(GraphError, match="witness y1 of x1 has 2 free leaves"):
+            list(enumerate_candidates(g, Side.X, 0))
+
     def test_budget_limit_error(self):
         tight = Limits(max_gap_budget=4)
         with pytest.raises(ResourceLimitError, match="max_gap_budget"):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicross import (
     BipartiteGraph,
@@ -26,6 +28,7 @@ from util import (
     random_connected_graph,
     random_disconnected_graph,
     reference_bcr,
+    reference_crossable_pairs,
 )
 
 
@@ -114,6 +117,42 @@ class TestBuildGraph:
         assert build_graph(1, 1, [(0, 0, 7)]).is_leaf_edge_weighted()
         g = build_graph(2, 2, [(0, 0, 2), (0, 1), (1, 0), (1, 1)])
         assert not g.is_leaf_edge_weighted()  # (x0,y0) joins two degree-2 vertices
+
+
+@st.composite
+def weighted_edge_sets(draw):
+    """(x_count, y_count, edges) with up to 6 vertices a side; some weights near 2^60."""
+    a = draw(st.integers(0, 6))
+    b = draw(st.integers(0, 6))
+    cells = [(x, y) for x in range(a) for y in range(b)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    weight = st.one_of(
+        st.integers(1, 3), st.integers((1 << 60) - 4, (1 << 60) + 4), st.integers(1, 1 << 62)
+    )
+    return a, b, [(x, y, draw(weight)) for x, y in chosen]
+
+
+class TestCrossablePairs:
+    @settings(max_examples=300, deadline=None)
+    @given(t=weighted_edge_sets())
+    def test_matches_a_brute_force(self, t):
+        a, b, edges = t
+        g = BipartiteGraph(a, b, tuple(edges))
+        assert list(g.crossable_pairs) == reference_crossable_pairs(edges)
+        assert g.crossable_pairs is g.crossable_pairs  # built once, then cached
+
+    def test_derived_graphs_match_a_brute_force(self):
+        # split and merge build their graphs without __post_init__
+        rng = random.Random(71)
+        for _ in range(60):
+            a, b, edges = random_disconnected_graph(rng)
+            g = BipartiteGraph(a, b, tuple(edges))
+            for h in [part.graph for part in split_components(g)] + [sibling_merge(g).graph]:
+                assert list(h.crossable_pairs) == reference_crossable_pairs(h.edges)
+
+    def test_c4(self):
+        # only the two diagonal pairs have four distinct endpoints
+        assert c4().crossable_pairs == ((0, 0, 1, 1, 1), (0, 1, 1, 0, 1))
 
 
 class TestComponents:

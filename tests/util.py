@@ -9,7 +9,7 @@ Graphs are passed around as (x_count, y_count, edges) triples with
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -30,6 +30,21 @@ def reference_crossings(edges, fx, fy) -> int:
             if (fx[x1] - fx[x2]) * (fy[y1] - fy[y2]) < 0:
                 total += w1 * w2
     return total
+
+
+def reference_crossable_pairs(edges) -> list[tuple[int, int, int, int, int]]:
+    """(x, y, x2, y2, w * w2) for every pair of edges with four distinct endpoints.
+
+    A brute force over all unordered pairs of the sorted edges; the
+    endpoints are told apart by side, so a pair qualifies iff its four
+    tagged endpoints form a set of four.
+    """
+    es = sorted((e[0], e[1], e[2] if len(e) == 3 else 1) for e in edges)
+    return [
+        (e[0], e[1], f[0], f[1], e[2] * f[2])
+        for e, f in combinations(es, 2)
+        if len({("x", e[0]), ("x", f[0]), ("y", e[1]), ("y", f[1])}) == 4
+    ]
 
 
 def all_drawings(a: int, b: int):
