@@ -278,15 +278,24 @@ def emit_svg(d: Drawing, out: str | Path) -> None:
 # -- commands -----------------------------------------------------------------
 
 
+def _flag_number(text: str, least: int) -> int:
+    """A flag's value: plain decimal digits, as in graph files (see _number), >= least."""
+    value = _number(text)
+    if value is None or value < least:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {least}, in plain decimal digits; got {text!r}"
+        )
+    return value
+
+
+def _budget(text: str) -> int:
+    """argparse type for crossing budgets (--k, --kmax)."""
+    return _flag_number(text, 0)
+
+
 def _positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _flag_number(text, 1)
 
 
 def _limits(args: argparse.Namespace) -> Limits:
@@ -379,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     decide = commands.add_parser(
         "decide", help="decide whether a drawing with at most K crossings exists"
     )
-    decide.add_argument("--k", type=int, required=True, help="crossing budget")
+    decide.add_argument("--k", type=_budget, required=True, help="crossing budget")
     _add_common(decide)
     _add_solver_flags(decide)
     decide.set_defaults(func=_cmd_decide)
@@ -387,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exact = commands.add_parser("exact", help="compute the exact crossing number")
     exact.add_argument(
         "--kmax",
-        type=int,
+        type=_budget,
         default=None,
         help=f"largest budget tried (default {DEFAULT_LIMITS.k_max_default})",
     )
@@ -398,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cens = commands.add_parser(
         "census", help="count all drawings with at most K crossings (exhaustive)"
     )
-    cens.add_argument("--k", type=int, required=True, help="crossing budget")
+    cens.add_argument("--k", type=_budget, required=True, help="crossing budget")
     _add_common(cens)
     cens.set_defaults(func=_cmd_census)
 

@@ -47,7 +47,13 @@ the graph is connected and free of sibling pairs.  The mechanism:
    never decreases along a branch, and a branch is cut as soon as it
    exceeds k.  A layout of a drawing with at most k crossings has a bound
    of at most k, so no such layout is lost.  The crossable edge pairs and
-   their weights come from BipartiteGraph.crossable_pairs.
+   their weights come from BipartiteGraph.crossable_pairs.  Which of a
+   pair's two terms a placed vertex x settles against an earlier z
+   depends only on whether x is left of z, so the sums, and the bound,
+   depend only on the relative order of the placed vertices, not on
+   their ranks.  The walk places vertices in a fixed order, so it
+   computes them once per relative order it reaches and looks them up
+   for every other placement with that relative order.
 
 5. The stream is therefore exactly the layouts with gap cost at most 4k
    on the spine and one-sided bound at most k, and that set is closed
@@ -68,7 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .drawing import Layout
 from .graph import BipartiteGraph, GraphError, Side, is_connected
@@ -363,6 +369,24 @@ def _order_tables(
     return tables, len(pair_index)
 
 
+class _BoundState(NamedTuple):
+    """One node of the walk's memo: the one-sided bound of a relative order.
+
+    lo[p] and hi[p] are the settled weights c_uv and c_vu of opposite-side
+    pair p, bound is sum(min(lo[p], hi[p])), and children[i] is the state
+    after the next vertex in spine order is inserted at position i among
+    the placed ranks: _UNSEEN until tried, None once the bound cut it.
+    """
+
+    lo: list[int]
+    hi: list[int]
+    bound: int
+    children: list
+
+
+_UNSEEN = object()
+
+
 def enumerate_candidates(
     g: BipartiteGraph,
     side: Side,
@@ -393,6 +417,21 @@ def enumerate_candidates(
     is at most k the walk does not track it.  Distinct surviving branches
     assign some vertex distinct ranks, hence the walk has no duplicates.
 
+    The sums after placing order[0..d] are fixed by the relative order of
+    those vertices: placing x adds tables[x][z] or tables[z][x] for each
+    placed z, chosen by whether x is left of z alone.  So a child's sums
+    are fixed by its parent's and by x's position among the placed ranks.
+    The walk keeps them in a trie of relative orders (_BoundState), one
+    per call and shared by every root rank and gap: each child is settled
+    once, at its first try, and a child the bound cuts is stored as cut
+    (None).  The walk visits the same nodes and streams the same layouts
+    in the same order as it would recomputing the sums at every try.
+    Memory: the trie has at most one entry per (depth, relative order)
+    tried.  Only entries that survive the cut hold sums, two lists of one
+    int per opposite-side pair; each is entered by at least one walk
+    node, so there are at most as many as walk nodes.  A cut entry is a
+    None slot in its parent's children list, which has depth + 1 slots.
+
     Reversal keeps both the gap costs and the bound (module docstring, step
     5), so only root ranks up to (a - 1) / 2 are walked and each layout
     found is followed by its reversal, except at the middle root rank of
@@ -400,7 +439,9 @@ def enumerate_candidates(
     reversal has its root on a rank that is never walked, so it repeats
     nothing.  The max_candidates_per_side check counts every layout
     streamed, reversals included.  The max_gap_budget check applies to
-    gap_budget(a, k) = 4k + a - 1, the ceiling on the raw gap total.
+    gap_budget(a, k) = 4k + a - 1, the ceiling on the raw gap total.  The
+    max_walk_nodes check counts the nodes of the walk, over all root
+    ranks, and so also bounds the trie.
     """
     a = g.side_count(side)
     budget = gap_budget(a, k)
@@ -417,57 +458,81 @@ def enumerate_candidates(
 
     ranks = [0] * a
     used = [False] * a
+    nodes = 0
+    # near[b]: (r, gap) for every rank r that a vertex whose successor sits
+    # at rank b can take, in the order tried: by gap, right before left.
+    # No vertex can afford a gap above 4k + l(x) <= 4k + 1.
+    near = [
+        [
+            (r, gap)
+            for gap in range(min(4 * k + 2, a))
+            for r in (b + gap + 1, b - gap - 1)
+            if 0 <= r < a
+        ]
+        for b in range(a)
+    ]
 
-    def walk(
-        depth: int, remaining: int, lo: list[int], hi: list[int], bound: int
-    ) -> Iterator[tuple[int, ...]]:
+    def settle(parent: _BoundState, depth: int, r: int) -> _BoundState | None:
+        """The state once order[depth] takes rank r, or None when the bound cuts it."""
+        x = order[depth]
+        lo = parent.lo[:]
+        hi = parent.hi[:]
+        bound = parent.bound
+        for z in order[:depth]:
+            for p, d_lo, d_hi in tables[x][z] if r < ranks[z] else tables[z][x]:
+                lo0 = lo[p]
+                hi0 = hi[p]
+                lo1 = lo0 + d_lo
+                hi1 = hi0 + d_hi
+                lo[p] = lo1
+                hi[p] = hi1
+                bound += (lo1 if lo1 < hi1 else hi1) - (lo0 if lo0 < hi0 else hi0)
+            if bound > k:
+                return None  # the bound only grows: no need to finish the sums
+        return _BoundState(lo, hi, bound, [_UNSEEN] * (depth + 2))
+
+    def walk(depth: int, remaining: int, state: _BoundState | None) -> Iterator[tuple[int, ...]]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > limits.max_walk_nodes:
+            raise ResourceLimitError(
+                f"candidate walk on side {side.value} at k={k} exceeds "
+                f"max_walk_nodes={limits.max_walk_nodes}"
+            )
         if depth == a:
             yield tuple(ranks)
             return
         x = order[depth]
-        placed = order[:depth]
-        base = ranks[successor[x]]
         free = slack[x]
-        for gap in range(remaining + free + 1):
-            if base + gap + 1 >= a and base - gap - 1 < 0:
-                break  # every larger gap lands out of range too
-            for sign in (1, -1):
-                r = base + sign * (gap + 1)
-                if not 0 <= r < a or used[r]:
+        reach = remaining + free
+        for r, gap in near[ranks[successor[x]]]:
+            if gap > reach:
+                break
+            if used[r]:
+                continue
+            child = state
+            if track:
+                slot = sum(used[:r])  # x's position among the placed ranks
+                child = state.children[slot]
+                if child is _UNSEEN:
+                    child = state.children[slot] = settle(state, depth, r)
+                if child is None:
                     continue
-                next_lo, next_hi, next_bound = lo, hi, bound
-                if track:
-                    next_lo = lo[:]
-                    next_hi = hi[:]
-                    for z in placed:
-                        settled = tables[x][z] if r < ranks[z] else tables[z][x]
-                        for p, d_lo, d_hi in settled:
-                            lo0 = next_lo[p]
-                            hi0 = next_hi[p]
-                            lo1 = lo0 + d_lo
-                            hi1 = hi0 + d_hi
-                            next_lo[p] = lo1
-                            next_hi[p] = hi1
-                            next_bound += (lo1 if lo1 < hi1 else hi1) - (lo0 if lo0 < hi0 else hi0)
-                        if next_bound > k:
-                            break  # the bound only grows: no need to finish the sums
-                    if next_bound > k:
-                        continue
-                ranks[x] = r
-                used[r] = True
-                cost = gap - free if gap > free else 0
-                yield from walk(depth + 1, remaining - cost, next_lo, next_hi, next_bound)
-                used[r] = False
+            ranks[x] = r
+            used[r] = True
+            yield from walk(depth + 1, remaining - (gap - free if gap > free else 0), child)
+            used[r] = False
 
     root = order[0]
-    zeros = [0] * pairs
     top = a - 1
+    # one memo for every root rank: the root alone has one relative order
+    memo = _BoundState([0] * pairs, [0] * pairs, 0, [_UNSEEN] * 2) if track else None
     emitted = 0
     for root_rank in range(top // 2 + 1):
         mirror = 2 * root_rank != top  # the middle rank is its own mirror
         ranks[root] = root_rank
         used[root_rank] = True
-        for found in walk(1, 4 * k, zeros, zeros, 0):
+        for found in walk(1, 4 * k, memo):
             for out in (found, tuple(top - r for r in found)) if mirror else (found,):
                 emitted += 1
                 if emitted > limits.max_candidates_per_side:

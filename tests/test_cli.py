@@ -268,6 +268,40 @@ class TestCommands:
         assert exit_info.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1_0", "+3", "١٠", "²", " 3", "-1", "1e1"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("decide", "--k"),
+            ("census", "--k"),
+            ("exact", "--kmax"),
+            ("decide", "--limit-candidates"),
+            ("exact", "--threads"),
+        ],
+    )
+    def test_flags_take_plain_decimals_only(self, tmp_path, capsys, command, flag, value):
+        # the rule of the graph files: int() would read the first five
+        # as 10, 3, 10, an error and 3
+        path = write(tmp_path, "c4.bg", C4_TEXT)
+        argv = [command, path, flag, value]
+        if command != "exact" and flag != "--k":
+            argv += ["--k", "1"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least" in err
+        assert repr(value) in err
+
+    def test_flags_take_leading_zeros(self, tmp_path, capsys):
+        path = write(tmp_path, "c4.bg", C4_TEXT)
+        code, out, _ = self.run(capsys, "decide", "--k", "01", path, "--json", "-")
+        assert code == 0
+        assert json.loads(out)["k"] == 1
+        code, out, _ = self.run(capsys, "exact", path, "--kmax", "00", "--json", "-")
+        assert code == 0
+        assert json.loads(out)["decision"] == "no"
+
     def test_large_budget_is_capped(self, tmp_path, capsys):
         # two disjoint C6 (bcr 2 each): the gap budget of k = 200 alone
         # would exceed max_gap_budget

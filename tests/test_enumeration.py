@@ -17,6 +17,7 @@ from bicross import (
     ResourceLimitError,
     Side,
     SpineMap,
+    bcr_decide,
     build_graph,
     build_spine,
     count_bound,
@@ -215,6 +216,20 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError, match="max_candidates_per_side"):
             list(enumerate_candidates(c4(), Side.X, 1, tiny))
 
+    def test_walk_node_ceiling_error(self):
+        # C4 at k = 1 walks two nodes per side (TestWalkNodes): the root and x1
+        for side in (Side.X, Side.Y):
+            assert len(list(enumerate_candidates(c4(), side, 1, Limits(max_walk_nodes=2)))) == 2
+            with pytest.raises(
+                ResourceLimitError,
+                match=f"candidate walk on side {side.value} at k=1 exceeds max_walk_nodes=1",
+            ):
+                list(enumerate_candidates(c4(), side, 1, Limits(max_walk_nodes=1)))
+
+    def test_walk_node_ceiling_reaches_the_solver(self):
+        with pytest.raises(ResourceLimitError, match="max_walk_nodes=1"):
+            bcr_decide(c4(), 1, Limits(max_walk_nodes=1))
+
 
 def cycle_with_path(c, tail, rng=None):
     """C_2c with a path of tail edges hung on x0, labels shuffled per side.
@@ -407,12 +422,45 @@ def walk_nodes(g, side, k):
 
 
 class TestWalkNodes:
+    # The pinned counts are those of the walk that recomputed the bound at
+    # every try: memoizing the bound removes bound evaluations, not nodes.
+
     def test_c4_tail_x_walk(self):
         # bcr is 1 for every tail length; the stream stays 2 X layouts
         a, b, edges = cycle_with_path(2, 24)
-        nodes, streamed = walk_nodes(BipartiteGraph(a, b, tuple(edges)), Side.X, 1)
-        assert streamed == 2
-        assert nodes <= 7000
+        assert walk_nodes(BipartiteGraph(a, b, tuple(edges)), Side.X, 1) == (6468, 2)
+
+    @pytest.mark.parametrize(
+        "c,tail,side,k,nodes,streamed",
+        [(5, 4, Side.X, 3, 575, 0), (3, 8, Side.Y, 2, 307, 4)],
+    )
+    def test_pinned_walks(self, c, tail, side, k, nodes, streamed):
+        a, b, edges = cycle_with_path(c, tail)
+        assert walk_nodes(BipartiteGraph(a, b, tuple(edges)), side, k) == (nodes, streamed)
+
+    def test_each_relative_order_is_settled_once(self):
+        # C10 plus a 4-edge tail at k = 3: the bound is tracked and cuts
+        a, b, edges = cycle_with_path(5, 4)
+        g = BipartiteGraph(a, b, tuple(edges))
+        seen = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "settle":
+                args = frame.f_locals
+                depth, order, ranks = args["depth"], args["order"], args["ranks"]
+                placed = [ranks[v] for v in order[:depth]] + [args["r"]]
+                seen.append(tuple(sorted(range(depth + 1), key=placed.__getitem__)))
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            assert list(enumerate_candidates(g, Side.X, 3)) == []
+        finally:
+            sys.setprofile(previous)
+        nodes, _ = walk_nodes(g, Side.X, 3)
+        assert len(seen) == len(set(seen))
+        # recomputing evaluated the bound once per try, so at least once per node
+        assert 0 < len(seen) < nodes // 2
 
     def test_counter_sees_every_node(self):
         # C4 at k = 0: the root's child x1 is cut by the one-sided bound

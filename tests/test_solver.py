@@ -40,6 +40,7 @@ from util import (
     random_caterpillar,
     random_connected_graph,
     reference_bcr,
+    scan_bcr,
 )
 
 
@@ -689,6 +690,49 @@ class TestPairSearch:
             assert (best, i, j) == (true_best, bi, bj)
         else:
             assert best > budget
+
+
+@st.composite
+def weighted_connected_graphs(draw):
+    """A connected graph with 1-5 vertices a side and edge weights 1-3.
+
+    A spanning tree grown from the edge (x0, y0), each further vertex
+    joining a vertex already placed on the other side, plus extra edges.
+    """
+    a = draw(st.integers(1, 5))
+    b = draw(st.integers(1, 5))
+    rest = [("x", x) for x in range(1, a)] + [("y", y) for y in range(1, b)]
+    rest = draw(st.permutations(rest))
+    placed = {"x": [0], "y": [0]}
+    cells = {(0, 0)}
+    for side, v in rest:
+        if side == "x":
+            cells.add((v, draw(st.sampled_from(placed["y"]))))
+        else:
+            cells.add((draw(st.sampled_from(placed["x"])), v))
+        placed[side].append(v)
+    every = [(x, y) for x in range(a) for y in range(b)]
+    cells |= set(draw(st.lists(st.sampled_from(every), max_size=6)))
+    weight = st.sampled_from([1, 1, 1, 2, 3])
+    return a, b, sorted((x, y, draw(weight)) for x, y in cells)
+
+
+class TestAgainstTheScan:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(t=weighted_connected_graphs())
+    def test_decide_and_exact_match_scan_bcr(self, t):
+        a, b, edges = t
+        g = BipartiteGraph(a, b, tuple(edges))
+        opt = scan_bcr(a, b, edges)
+        exact = bcr_exact(g, opt + 1)
+        assert (exact.decision, exact.optimum) == ("yes", opt)
+        assert crossing_number_fast(exact.witness) == opt
+        yes = bcr_decide(g, opt)
+        assert (yes.decision, yes.optimum) == ("yes", opt)
+        assert (yes.witness.fx, yes.witness.fy) == (exact.witness.fx, exact.witness.fy)
+        if opt:
+            assert bcr_decide(g, opt - 1).decision == "no"
+            assert bcr_exact(g, opt - 1).decision == "no"
 
 
 class TestSelfCheck:
