@@ -13,12 +13,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .drawing import Drawing, crossing_number_fast
 from .graph import BipartiteGraph
-from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
+from .limits import DEFAULT_LIMITS, ResourceLimitError
 from .solver import CensusResult, SolveReport, bcr_decide, bcr_exact, census
 
 
@@ -298,13 +298,6 @@ def _positive_int(text: str) -> int:
     return _flag_number(text, 1)
 
 
-def _limits(args: argparse.Namespace) -> Limits:
-    limits = DEFAULT_LIMITS
-    if getattr(args, "limit_candidates", None) is not None:
-        limits = replace(limits, max_candidates_per_side=args.limit_candidates)
-    return limits
-
-
 def _emit_report(args: argparse.Namespace, doc: dict, report: SolveReport | None) -> None:
     if args.json == "-":
         sys.stdout.write(document_json(doc))
@@ -323,7 +316,7 @@ def _emit_report(args: argparse.Namespace, doc: dict, report: SolveReport | None
 def _cmd_decide(args: argparse.Namespace) -> int:
     g = parse_graph(args.file, args.format)
     start = time.perf_counter()
-    report = bcr_decide(g, args.k, limits=_limits(args))
+    report = bcr_decide(g, args.k)
     ms = int((time.perf_counter() - start) * 1000)
     _emit_report(args, solve_document(args.file, g, report, ms), report)
     return 0
@@ -332,7 +325,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = parse_graph(args.file, args.format)
     start = time.perf_counter()
-    report = bcr_exact(g, args.kmax, limits=_limits(args))
+    report = bcr_exact(g, args.kmax)
     ms = int((time.perf_counter() - start) * 1000)
     _emit_report(args, solve_document(args.file, g, report, ms), report)
     return 0
@@ -341,7 +334,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     g = parse_graph(args.file, args.format)
     start = time.perf_counter()
-    result = census(g, args.k, limits=_limits(args))
+    result = census(g, args.k)
     ms = int((time.perf_counter() - start) * 1000)
     _emit_report(args, census_document(args.file, g, args.k, result, ms), None)
     return 0
@@ -359,12 +352,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--json",
         metavar="OUT",
         help="write the JSON report to OUT ('-' sends it to stdout instead of the table)",
-    )
-    sub.add_argument(
-        "--limit-candidates",
-        type=_positive_int,
-        metavar="N",
-        help="cap on enumerated candidate layouts per side",
     )
 
 

@@ -412,10 +412,9 @@ def enumerate_candidates(
     Placing a vertex adds the order-settled weights against every vertex
     placed before it to the per-pair sums c_uv, c_vu, and the branch is
     cut once sum(min(c_uv, c_vu)) exceeds k (see the module docstring);
-    at a leaf that sum is the full one-sided bound.  The bound can never
-    exceed half the total weight of g.crossable_pairs, so when that half
-    is at most k the walk does not track it.  Distinct surviving branches
-    assign some vertex distinct ranks, hence the walk has no duplicates.
+    at a leaf that sum is the full one-sided bound.  Distinct surviving
+    branches assign some vertex distinct ranks, hence the walk has no
+    duplicates.
 
     The sums after placing order[0..d] are fixed by the relative order of
     those vertices: placing x adds tables[x][z] or tables[z][x] for each
@@ -437,11 +436,12 @@ def enumerate_candidates(
     found is followed by its reversal, except at the middle root rank of
     an odd side, whose walk holds both layouts of each mirror pair.  A
     reversal has its root on a rank that is never walked, so it repeats
-    nothing.  The max_candidates_per_side check counts every layout
-    streamed, reversals included.  The max_gap_budget check applies to
-    gap_budget(a, k) = 4k + a - 1, the ceiling on the raw gap total.  The
-    max_walk_nodes check counts the nodes of the walk, over all root
-    ranks, and so also bounds the trie.
+    nothing.  The max_gap_budget check applies to gap_budget(a, k) =
+    4k + a - 1, the ceiling on the raw gap total.  The max_walk_nodes
+    check counts the nodes of the walk, over all root ranks, and so also
+    bounds the trie and the stream: every layout streamed is a leaf of
+    the walk or the reversal of one, so a stream holds at most
+    2 * max_walk_nodes layouts.
     """
     a = g.side_count(side)
     budget = gap_budget(a, k)
@@ -453,8 +453,7 @@ def enumerate_candidates(
     order = spine.decode_order
     successor = spine.successor
     slack = _leaf_slack(g, spine)
-    track = 2 * k < sum(w for *_, w in g.crossable_pairs)
-    tables, pairs = _order_tables(g, side) if track else ([], 0)
+    tables, pairs = _order_tables(g, side)
 
     ranks = [0] * a
     used = [False] * a
@@ -491,7 +490,7 @@ def enumerate_candidates(
                 return None  # the bound only grows: no need to finish the sums
         return _BoundState(lo, hi, bound, [_UNSEEN] * (depth + 2))
 
-    def walk(depth: int, remaining: int, state: _BoundState | None) -> Iterator[tuple[int, ...]]:
+    def walk(depth: int, remaining: int, state: _BoundState) -> Iterator[tuple[int, ...]]:
         nonlocal nodes
         nodes += 1
         if nodes > limits.max_walk_nodes:
@@ -510,14 +509,12 @@ def enumerate_candidates(
                 break
             if used[r]:
                 continue
-            child = state
-            if track:
-                slot = sum(used[:r])  # x's position among the placed ranks
-                child = state.children[slot]
-                if child is _UNSEEN:
-                    child = state.children[slot] = settle(state, depth, r)
-                if child is None:
-                    continue
+            slot = sum(used[:r])  # x's position among the placed ranks
+            child = state.children[slot]
+            if child is _UNSEEN:
+                child = state.children[slot] = settle(state, depth, r)
+            if child is None:
+                continue
             ranks[x] = r
             used[r] = True
             yield from walk(depth + 1, remaining - (gap - free if gap > free else 0), child)
@@ -526,20 +523,13 @@ def enumerate_candidates(
     root = order[0]
     top = a - 1
     # one memo for every root rank: the root alone has one relative order
-    memo = _BoundState([0] * pairs, [0] * pairs, 0, [_UNSEEN] * 2) if track else None
-    emitted = 0
+    memo = _BoundState([0] * pairs, [0] * pairs, 0, [_UNSEEN] * 2)
     for root_rank in range(top // 2 + 1):
         mirror = 2 * root_rank != top  # the middle rank is its own mirror
         ranks[root] = root_rank
         used[root_rank] = True
         for found in walk(1, 4 * k, memo):
             for out in (found, tuple(top - r for r in found)) if mirror else (found,):
-                emitted += 1
-                if emitted > limits.max_candidates_per_side:
-                    raise ResourceLimitError(
-                        "candidate stream exceeds max_candidates_per_side="
-                        f"{limits.max_candidates_per_side}"
-                    )
                 yield Layout(side, out)
         used[root_rank] = False
 

@@ -132,10 +132,6 @@ class BipartiteGraph:
     def weight(self) -> dict[tuple[int, int], int]:
         return {(x, y): w for x, y, w in self.edges}
 
-    def degree(self, side: Side, index: int) -> int:
-        adj = self.x_adj if side is Side.X else self.y_adj
-        return len(adj[index])
-
     def side_count(self, side: Side) -> int:
         return self.x_count if side is Side.X else self.y_count
 

@@ -20,8 +20,6 @@ class Limits:
     Attributes:
         oracle_max_side: largest per-side vertex count the brute-force
             oracle (and the census scan) will accept.
-        max_candidates_per_side: cap on distinct candidate layouts kept
-            per side during enumeration.
         max_pair_evaluations: cap on candidate-pair crossing evaluations
             in a single component search, and on the layout pairs an
             exhaustive scan (oracle or census) would visit.
@@ -35,12 +33,12 @@ class Limits:
             node, so 2^22 nodes stand for about 7-20 s (6.8 s for two C4
             joined by a 40-edge chain, side Y at k = 2).  It also bounds
             the walk's memo, which holds bound sums for at most one state
-            per node.
+            per node, and the candidate stream, which holds at most two
+            layouts per node (a walk leaf and its reversal).
         k_max_default: default ceiling for the exact-optimum driver.
     """
 
     oracle_max_side: int = 8
-    max_candidates_per_side: int = 1 << 24
     max_pair_evaluations: int = 1 << 30
     max_gap_budget: int = 512
     max_walk_nodes: int = 1 << 22

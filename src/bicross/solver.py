@@ -8,10 +8,12 @@ budget t searched, cut every pendant path to 2t + 2 edges (the kernel of
 bicross.graph._pendant_path_kernel, whose optimum is the merged graph's
 whenever that is at most t) and search the cross product of the
 enumerated candidate layouts of the kernel for both sides.  The winning
-kernel drawing is lifted back to the merged graph by an uncrossed ladder
-on each cut path, and then the merged leaves are expanded.  The budget
-handed to the enumeration is first capped at the crossing count of the
-identity drawing, which the optimum cannot exceed.
+rank pair is lifted in one step to vertex orders of the component: an
+uncrossed ladder regrows each cut path, and then each merged vertex is
+replaced by its leaves.  The orders of all components become the one
+Drawing of the solve, which is recounted before it is returned.  The
+budget handed to the enumeration is first capped at the crossing count
+of the identity drawing, which the optimum cannot exceed.
 The candidate streams are complete for drawings within budget: each holds
 every layout of a drawing with at most that many crossings, and only
 layouts whose one-sided crossing bound is within budget (see
@@ -273,8 +275,8 @@ def census(g: BipartiteGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Census
 # -- witness construction ----------------------------------------------------
 
 
-def _caterpillar_drawing(g: BipartiteGraph) -> Drawing:
-    """Crossing-free drawing of a connected caterpillar.
+def _caterpillar_orders(g: BipartiteGraph) -> tuple[list[int], list[int]]:
+    """X and Y vertex orders of a crossing-free drawing of a connected caterpillar.
 
     Walks the spine (the path of non-leaf vertices) from one end, appending
     the spine vertex and then its leaves in ascending order; the two layer
@@ -283,7 +285,7 @@ def _caterpillar_drawing(g: BipartiteGraph) -> Drawing:
     edge has no spine and is walked from its X endpoint.
     """
     if g.m == 0:  # connected, so at most one vertex
-        return identity_drawing(g)
+        return list(range(g.x_count)), list(range(g.y_count))
     adjs = (g.x_adj, g.y_adj)
     seqs: tuple[list[int], list[int]] = ([], [])
     ends = (
@@ -304,48 +306,37 @@ def _caterpillar_drawing(g: BipartiteGraph) -> Drawing:
             elif w != prev:
                 step = w  # the next spine vertex
         side, prev, v = 1 - side, v, step
-    return Drawing(
-        g,
-        layout_from_sequence(Side.X, seqs[0]),
-        layout_from_sequence(Side.Y, seqs[1]),
-    )
+    return seqs
 
 
-def _expand_witness(mr: MergeResult, merged: Drawing, original: BipartiteGraph) -> Drawing:
-    """Lift a drawing of the merged graph back to the pre-merge graph.
+def _lift_orders(
+    mr: MergeResult,
+    kernel: PathKernel,
+    kernel_ranks: tuple[tuple[int, ...], tuple[int, ...]],
+) -> tuple[list[int], list[int]]:
+    """X and Y vertex orders of the pre-merge component from the kernel's ranks.
 
-    Each merged vertex is replaced by its original leaves in consecutive
-    positions.  The expanded parallel leaf edges never cross each other,
-    and each crosses exactly the edges the weighted edge crossed, so the
-    crossing count is unchanged.
-    """
-    x_seq = [orig for v in merged.fx.sequence() for orig in mr.x_groups[v]]
-    y_seq = [orig for v in merged.fy.sequence() for orig in mr.y_groups[v]]
-    return Drawing(
-        original,
-        layout_from_sequence(Side.X, x_seq),
-        layout_from_sequence(Side.Y, y_seq),
-    )
-
-
-def _lift_witness(kernel: PathKernel, d: Drawing, h: BipartiteGraph) -> Drawing:
-    """Lift a drawing of the pendant-path kernel back to h, the graph it was cut from.
-
-    The ladder of _pendant_path_kernel: per cut path, j >= 2 is the first
+    kernel was cut from the merged graph mr.graph, and kernel_ranks are
+    the X and Y rank arrays of a drawing d of kernel.graph.  First the
+    ladder of _pendant_path_kernel: per cut path, j >= 2 is the first
     index whose edge ej is uncrossed in d; p(j+1) ... pK are removed and
     p(j+1) ... pL regrow as two runs, one directly beside p(j-1) and one
     directly beside pj, both on the side given by sign(rank pj -
-    rank p(j-2)).  The lift has d's crossing count whenever d has at most
-    as many crossings as the budget the kernel was cut for.
+    rank p(j-2)).  The ladder has d's crossing count whenever d has at
+    most as many crossings as the budget the kernel was cut for.  Then
+    each merged vertex is replaced by its original leaves (mr.x_groups,
+    mr.y_groups) in consecutive positions.  The expanded parallel leaf
+    edges never cross each other, and each crosses exactly the edges the
+    weighted edge crossed, so the crossing count is unchanged.
     """
-    if not kernel.paths:
-        return d
+    h = mr.graph
     maps = (kernel.x_vertices, kernel.y_vertices)
     ranks = ([-1] * h.x_count, [-1] * h.y_count)  # h vertex -> rank in d, -1 if cut
-    for side, layout in ((0, d.fx), (1, d.fy)):
-        for v, r in enumerate(layout.ranks):
+    for side, layout in enumerate(kernel_ranks):
+        for v, r in enumerate(layout):
             ranks[side][maps[side][v]] = r
-    ranked = [(d.fx.ranks[x], d.fy.ranks[y]) for x, y, _ in kernel.graph.edges]
+    fx, fy = kernel_ranks
+    ranked = [(fx[x], fy[y]) for x, y, _ in kernel.graph.edges]
 
     def crossed(side: int, u: int, v: int) -> bool:
         """Whether the kernel edge from u (on side) to v crosses another."""
@@ -374,38 +365,34 @@ def _lift_witness(kernel: PathKernel, d: Drawing, h: BipartiteGraph) -> Drawing:
         runs[sj][p[j]] = (direction, p[j + 2 :: 2])
 
     seqs: tuple[list[int], list[int]] = ([], [])
-    for side, layout in ((0, d.fx), (1, d.fy)):
+    for side, groups in ((0, mr.x_groups), (1, mr.y_groups)):
         out = seqs[side]
-        for kv in layout.sequence():
+        layout = kernel_ranks[side]
+        for kv in sorted(range(len(layout)), key=layout.__getitem__):
             v = maps[side][kv]
             if v in dropped[side]:
                 continue
             direction, run = runs[side].get(v, (1, ()))
-            if direction < 0:
-                out.extend(reversed(run))
-            out.append(v)
-            if direction > 0:
-                out.extend(run)
-    return Drawing(
-        h,
-        layout_from_sequence(Side.X, seqs[0]),
-        layout_from_sequence(Side.Y, seqs[1]),
-    )
+            for u in (*reversed(run), v) if direction < 0 else (v, *run):
+                out.extend(groups[u])
+    return seqs
 
 
 def _compose_drawing(
-    g: BipartiteGraph, parts: list[tuple[GraphComponent, Drawing]]
+    g: BipartiteGraph,
+    parts: list[tuple[GraphComponent, tuple[list[int], list[int]]]],
 ) -> Drawing:
-    """Component drawings side by side, whole component i left of i+1.
+    """Drawing of g with the components' vertex orders side by side.
 
-    Edges of different components keep the same relative order on both
+    Whole component i lies left of component i+1 on both layers.  Edges
+    of different components keep the same relative order on both
     layers, so composition adds no crossings.
     """
     x_seq: list[int] = []
     y_seq: list[int] = []
-    for part, d in parts:
-        x_seq.extend(part.x_vertices[v] for v in d.fx.sequence())
-        y_seq.extend(part.y_vertices[v] for v in d.fy.sequence())
+    for part, (xs, ys) in parts:
+        x_seq.extend(part.x_vertices[v] for v in xs)
+        y_seq.extend(part.y_vertices[v] for v in ys)
     return Drawing(
         g,
         layout_from_sequence(Side.X, x_seq),
@@ -475,11 +462,12 @@ def _pair_search(
 
 def _search(
     h: BipartiteGraph, budget: int, lb: int, limits: Limits
-) -> tuple[int, Drawing | None, SolveStats]:
+) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]] | None, SolveStats]:
     """Enumerate both sides of h within budget and search their cross product.
 
-    Returns (best, drawing, stats): drawing is the lexicographically first
-    pair of minimum count best if best <= budget, else None.  Y is
+    Returns (best, ranks, stats): ranks is the lexicographically first
+    (X ranks, Y ranks) pair of minimum count best if best <= budget, else
+    None.  Y is
     enumerated only when the X stream is non-empty: an empty X stream
     already proves the optimum exceeds the budget.
     """
@@ -500,16 +488,19 @@ def _search(
     stats = SolveStats(0, len(x_layouts), len(y_layouts), evaluated, pruned, 0)
     if best > budget:
         return best, None, stats
-    return best, drawing_from_ranks(h, x_layouts[bi], y_layouts[bj]), stats
+    return best, (x_layouts[bi], y_layouts[bj]), stats
 
 
 def _solve_component(
     g: BipartiteGraph, budgets: range, limits: Limits
-) -> tuple[int | None, Drawing | None, SolveStats]:
+) -> tuple[int | None, tuple[list[int], list[int]] | None, SolveStats]:
     """Optimum of the connected graph g if it is at most budgets[-1].
 
-    Returns (value, witness, stats): the optimum and a drawing of g that
-    attains it, or (None, None) when the optimum exceeds budgets[-1].
+    Returns (value, orders, stats): the optimum and the X and Y vertex
+    orders, left to right, of a drawing of g that attains it, or
+    (None, None) when the optimum exceeds budgets[-1].  No Drawing is
+    built here: _solve_components composes the orders of every component
+    into the one witness of the solve.
     budgets is the ascending run lo..hi to try: one budget for a decision
     (lo = hi), the whole ascent for an exact solve (lo = 0).  The search
     stops at the first budget whose best candidate pair fits it; the
@@ -526,16 +517,16 @@ def _solve_component(
     them, except that a star becomes a lone edge, whose one drawing
     expands to the star's.  Merged leaves expand in ascending order in
     place of their representative, the smallest of them.  So the spine
-    walk of _caterpillar_drawing on g lays out the witness that the walk
+    walk of _caterpillar_orders on g lays out the witness that the walk
     on the merged graph, expanded, would.
 
     Every other component has bcr >= 1, so it is merged and rejected when
     max(1, m - n + 1) exceeds hi.  Otherwise each budget t from
     max(lo, that bound) up searches the pendant-path kernel of the merged
     graph at t, whose optimum is the merged graph's whenever that is at
-    most t (see _pendant_path_kernel).  The witness is the lift of the
-    lexicographically first optimal pair of the kernel built at the
-    optimum c, so it does not depend on the budget: the ascent stops at
+    most t (see _pendant_path_kernel).  The witness is _lift_orders of
+    the lexicographically first optimal rank pair of the kernel built at
+    the optimum c, so it does not depend on the budget: the ascent stops at
     t = c, and a decision at t > c searches once more at c when that
     kernel is smaller, that is when some pendant path is longer than
     2c + 2 edges.
@@ -546,7 +537,7 @@ def _solve_component(
     has a cycle or a vertex of degree 3 and at least 4 edges).
     """
     if is_caterpillar_forest(g):
-        return 0, _caterpillar_drawing(g), _NO_WORK
+        return 0, _caterpillar_orders(g), _NO_WORK
 
     mr = sibling_merge(g)
     h = mr.graph
@@ -561,18 +552,18 @@ def _solve_component(
     stats = _NO_WORK
     for budget in range(max(min(budgets[0], cap), lb), min(hi, cap) + 1):
         kernel = _pendant_path_kernel(h, budget)
-        best, drawing, found = _search(kernel.graph, budget, lb, limits)
+        best, ranks, found = _search(kernel.graph, budget, lb, limits)
         stats += found
-        if drawing is None:
+        if ranks is None:
             continue  # no drawing of the kernel within budget, so none of h
         if best < budget and kernel.longest > 2 * best + 2:
             kernel = _pendant_path_kernel(h, best)
-            tight_best, drawing, found = _search(kernel.graph, best, lb, limits)
+            tight_best, ranks, found = _search(kernel.graph, best, lb, limits)
             stats += found
-            if drawing is None or tight_best != best:
+            if ranks is None or tight_best != best:
                 raise SelfCheckError(f"the kernel at budget {best} lost the optimum")
-        witness = _expand_witness(mr, _lift_witness(kernel, drawing, h), g)
-        return best, witness, stats + SolveStats(0, 0, 0, 0, 0, kernel.graph.m)
+        orders = _lift_orders(mr, kernel, ranks)
+        return best, orders, stats + SolveStats(0, 0, 0, 0, 0, kernel.graph.m)
     return None, None, stats + SolveStats(0, 0, 0, 0, 0, kernel.graph.m)
 
 
@@ -599,18 +590,18 @@ def _solve_components(
     """
     parts = split_components(g)
     stats = SolveStats(len(parts), 0, 0, 0, 0, 0)
-    solved: list[tuple[GraphComponent, Drawing]] = []
+    solved: list[tuple[GraphComponent, tuple[list[int], list[int]]]] = []
     remaining = k
     for part in parts:
         budgets = range(0 if ascend else remaining, remaining + 1)
-        value, witness, found = _solve_component(part.graph, budgets, limits)
+        value, orders, found = _solve_component(part.graph, budgets, limits)
         stats += found
         if value is None:
             break
-        if witness is None:
+        if orders is None:
             raise SelfCheckError(f"component optimum {value} came without a witness")
         remaining -= value
-        solved.append((part, witness))
+        solved.append((part, orders))
     method = "fpt-enum" if stats.kernel_edges else "fastpath"
     if len(solved) < len(parts):
         return _checked(SolveReport("no", None, None, stats, method, k))

@@ -244,19 +244,9 @@ class TestCommands:
         assert code == 3
         assert "census" in err
 
-    def test_candidate_limit_flag(self, tmp_path, capsys):
-        path = write(tmp_path, "c4.bg", C4_TEXT)
-        code, _, err = self.run(
-            capsys, "decide", "--k", "1", path, "--limit-candidates", "1"
-        )
-        assert code == 3
-        assert "max_candidates_per_side" in err
-
     @pytest.mark.parametrize(
         "flag,value",
         [
-            ("--limit-candidates", "0"),
-            ("--limit-candidates", "-3"),
             ("--threads", "0"),
             ("--threads", "-1"),
         ],
@@ -275,7 +265,7 @@ class TestCommands:
             ("decide", "--k"),
             ("census", "--k"),
             ("exact", "--kmax"),
-            ("decide", "--limit-candidates"),
+            ("decide", "--threads"),
             ("exact", "--threads"),
         ],
     )

@@ -211,11 +211,6 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError, match="max_gap_budget"):
             list(enumerate_candidates(c4(), Side.X, 1, tight))
 
-    def test_candidate_ceiling_error(self):
-        tiny = Limits(max_candidates_per_side=1)
-        with pytest.raises(ResourceLimitError, match="max_candidates_per_side"):
-            list(enumerate_candidates(c4(), Side.X, 1, tiny))
-
     def test_walk_node_ceiling_error(self):
         # C4 at k = 1 walks two nodes per side (TestWalkNodes): the root and x1
         for side in (Side.X, Side.Y):
@@ -330,20 +325,6 @@ class TestMirroredWalk:
                     middle_root_layouts[a] += sum(p[spine.root] == (a - 1) // 2 for p in want)
         # the middle root rank of odd sides, which is not mirrored, is exercised
         assert all(middle_root_layouts.values()), middle_root_layouts
-
-    def test_candidate_limit_counts_mirrors(self):
-        checked = 0
-        for g, edges, side in MIRROR_CASES:
-            size = len(list(enumerate_candidates(g, side, 1)))
-            if size < 2:
-                continue
-            exact = Limits(max_candidates_per_side=size)
-            assert len(list(enumerate_candidates(g, side, 1, exact))) == size
-            short = Limits(max_candidates_per_side=size - 1)
-            with pytest.raises(ResourceLimitError, match="max_candidates_per_side"):
-                list(enumerate_candidates(g, side, 1, short))
-            checked += 1
-        assert checked >= 6
 
 
 class TestLeafAwareCost:
@@ -465,8 +446,30 @@ class TestWalkNodes:
     def test_counter_sees_every_node(self):
         # C4 at k = 0: the root's child x1 is cut by the one-sided bound
         assert walk_nodes(c4(), Side.X, 0) == (1, 0)
-        # at k = 1 the bound is not tracked: x1 is placed, and the layout mirrored
+        # at k = 1 the bound, at most half the crossable weight 2, cannot
+        # cut: x1 is placed, and the layout mirrored
         assert walk_nodes(c4(), Side.X, 1) == (2, 2)
+
+    def test_stream_holds_at_most_two_layouts_per_node(self):
+        # every layout streamed is a walk leaf or its reversal, so
+        # max_walk_nodes also bounds the stream
+        cases = [(c4(), Side.X, k) for k in (0, 1)]
+        cases += [
+            (BipartiteGraph(a, b, tuple(edges)), side, k)
+            for (c, tail), side, k in (
+                ((2, 24), Side.X, 1),
+                ((5, 4), Side.X, 3),
+                ((3, 8), Side.Y, 2),
+            )
+            for a, b, edges in [cycle_with_path(c, tail)]
+        ]
+        cases += [(g, side, k) for g, _, side in MIRROR_CASES for k in (1, 2, 3)]
+        largest = 0
+        for g, side, k in cases:
+            nodes, streamed = walk_nodes(g, side, k)
+            assert streamed <= 2 * nodes, (g, side, k)
+            largest = max(largest, streamed)
+        assert largest >= 32  # the cases include streams of some size
 
 
 class TestCountBound:

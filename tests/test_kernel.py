@@ -18,6 +18,7 @@ import bicross.graph as graph_mod
 import bicross.solver as solver_mod
 from bicross import (
     BipartiteGraph,
+    Drawing,
     Side,
     bcr_bruteforce,
     bcr_decide,
@@ -31,6 +32,7 @@ from bicross import (
     is_connected,
     split_components,
 )
+from bicross.drawing import layout_from_sequence
 from util import (
     connected_graph_classes,
     random_connected_graph,
@@ -57,6 +59,15 @@ def spider(legs):
 
 def kernel_of(g, budget):
     return graph_mod._pendant_path_kernel(g, budget)
+
+
+def lift_to(h, kernel, ranks):
+    """The drawing of h, which has no sibling pairs, that _lift_orders makes
+    from the rank pair of a drawing of kernel."""
+    mr = graph_mod.sibling_merge(h)
+    assert mr.graph == h
+    xs, ys = solver_mod._lift_orders(mr, kernel, ranks)
+    return Drawing(h, layout_from_sequence(Side.X, xs), layout_from_sequence(Side.Y, ys))
 
 
 class TestKernelShape:
@@ -142,8 +153,7 @@ class TestLift:
                 d = drawing_from_ranks(k, fx, fy)
                 c = crossing_number_fast(d)
                 if c <= budget:
-                    up = solver_mod._lift_witness(kernel, d, h)
-                    assert up.graph is h
+                    up = lift_to(h, kernel, (fx, fy))
                     lifted.append((crossing_number_fast(up), c))
         assert len(lifted) == 8
         assert all(got == want for got, want in lifted)
@@ -151,8 +161,9 @@ class TestLift:
     def test_lift_of_an_uncut_kernel_is_the_drawing(self):
         h = c4_tail(3)
         kernel = kernel_of(h, 1)
-        d = drawing_from_ranks(h, tuple(range(h.x_count)), tuple(range(h.y_count)))
-        assert solver_mod._lift_witness(kernel, d, h) is d
+        assert not kernel.paths
+        d = drawing_from_ranks(h, (2, 0, 1), (1, 3, 0, 2))
+        assert lift_to(h, kernel, (d.fx.ranks, d.fy.ranks)) == d
 
 
 class TestKernelSolve:

@@ -33,6 +33,7 @@ from bicross import (
     sibling_merge,
     split_components,
 )
+from bicross.drawing import Drawing, layout_from_sequence
 from bicross.limits import Limits
 from util import (
     connected_graph_classes,
@@ -41,6 +42,7 @@ from util import (
     random_connected_graph,
     reference_bcr,
     scan_bcr,
+    with_pendant_path,
 )
 
 
@@ -179,6 +181,45 @@ class TestComponentSolve:
         assert len(report.witness.fy.ranks) == 7
 
 
+class TestOneDrawingPerSolve:
+    """A component's witness stays a pair of vertex orders until the solve
+    composes them: the only Drawings built are the identity for the budget
+    cap and the returned witness."""
+
+    @staticmethod
+    def drawings_built(monkeypatch, g, k):
+        built = []
+        real = Drawing.__post_init__
+
+        def spying(self):
+            built.append(self.graph)
+            real(self)
+
+        monkeypatch.setattr(Drawing, "__post_init__", spying)
+        report = bcr_decide(g, k)
+        monkeypatch.undo()
+        return report, built
+
+    def test_kernel_lift_and_leaf_expansion_build_no_drawing(self, monkeypatch):
+        # C6 with an 8-edge pendant path and two sibling leaves on y1: the
+        # decision at 3 searches again at the optimum 2, then the ladder
+        # regrows the cut path and the merged leaves expand
+        c6 = (3, 3, [(i, i, 1) for i in range(3)] + [((i + 1) % 3, i, 1) for i in range(3)])
+        a, b, edges = with_pendant_path(c6, True, 0, 8)
+        g = BipartiteGraph(a + 2, b, tuple(edges + [(a, 1, 1), (a + 1, 1, 1)]))
+        report, built = self.drawings_built(monkeypatch, g, 3)
+        assert (report.decision, report.optimum) == ("yes", 2)
+        assert len(built) == 2
+        assert built[0] == sibling_merge(g).graph  # the identity of the budget cap
+        assert built[1] is g
+
+    def test_isolated_vertices_build_one_drawing(self, monkeypatch):
+        g = build_graph(26, 25, [(0, 0)])
+        report, built = self.drawings_built(monkeypatch, g, 0)
+        assert (report.decision, report.stats.components) == ("yes", 50)
+        assert built == [g]
+
+
 class TestCaterpillarFastPath:
     """The caterpillar test runs on the component itself, before the merge."""
 
@@ -207,12 +248,20 @@ class TestCaterpillarFastPath:
             if not is_caterpillar_forest(g):
                 continue
             caterpillars += 1
-            drawing = solver_mod._caterpillar_drawing(g)
-            assert drawing.graph == g
+            orders = solver_mod._caterpillar_orders(g)
+            drawing = Drawing(
+                g, layout_from_sequence(Side.X, orders[0]), layout_from_sequence(Side.Y, orders[1])
+            )
             assert crossing_number_fast(drawing) == 0
-            # the merged graph's drawing, expanded, is the same witness
-            merged = solver_mod._caterpillar_drawing(mr.graph)
-            assert solver_mod._expand_witness(mr, merged, g) == drawing
+            # the merged graph's orders, lifted through a kernel that cuts
+            # nothing (every path is shorter than 2m + 2), are the same witness
+            merged = solver_mod._caterpillar_orders(mr.graph)
+            kernel = graph_mod._pendant_path_kernel(mr.graph, mr.graph.m)
+            assert not kernel.paths
+            ranks = tuple(
+                layout_from_sequence(side, seq).ranks for side, seq in zip((Side.X, Side.Y), merged)
+            )
+            assert solver_mod._lift_orders(mr, kernel, ranks) == orders
         assert caterpillars >= 240
 
     def test_walk_starts_at_the_first_spine_end(self):
