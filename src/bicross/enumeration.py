@@ -25,15 +25,21 @@ the graph is connected and free of sibling pairs.  The mechanism:
    edges, each edge lies on at most two witness paths, so a crossing is
    counted for at most four vertices x, giving the 4k total.
 
-3. Therefore every layout of a drawing with at most k crossings is
-   reproduced by choosing a root rank, and per non-root vertex a gap and
-   a direction, where each gap costs max(0, gap - l(x)) and the costs
-   sum to at most 4k.  Enumerating those choices (depth-first over the
-   spine tree, pruning on rank collisions and exhausted budget) reaches
-   every layout that can appear in a drawing within budget.  At most
-   a - 1 vertices have l(x) = 1, so the raw gaps still sum to at most
-   4k + a - 1 (gap_budget, capped by Limits.max_gap_budget): the stream
-   is a subset of the orders that count_bound counts.
+3. Therefore every layout of a drawing with at most k crossings has gap
+   cost sum(max(0, gap(x) - l(x))) <= 4k.  The walk builds layouts as
+   relative orders: it inserts the side's vertices in spine order
+   (parents first, so T(x) is placed before x) into one left-to-right
+   sequence, trying every position.  For a placed x let between(x) count
+   the placed vertices strictly between x and T(x).  It only grows as
+   further vertices are inserted and equals gap(x) once all are placed,
+   so the partial cost sum(max(0, between(x) - l(x))) never exceeds the
+   final one, and an insertion that takes it above 4k is cut with every
+   layout below it.  Such a layout is also reproduced by a root rank and
+   per non-root vertex a gap and a direction (CandidateEncoding,
+   decode_layout).  At most a - 1 vertices have l(x) = 1, so the raw
+   gaps still sum to at most 4k + a - 1 (gap_budget, capped by
+   Limits.max_gap_budget): the stream is a subset of the orders that
+   count_bound counts.
 
 4. The same walk also cuts on the one-sided crossing bound (Juenger and
    Mutzel 1997; Dujmovic, Fernau and Kaufmann 2008).  Fix this side's
@@ -41,30 +47,30 @@ the graph is connected and free of sibling pairs.  The mechanism:
    edge pairs that cross when u is left of v.  Every order of the other
    side pays c_uv or c_vu for each pair, so any drawing with this layout
    has at least sum(min(c_uv, c_vu)) crossings.  A crossable edge pair's
-   term is fixed as soon as both of its same-side endpoints have ranks,
-   so a partial assignment already yields a partial sum; sums only grow
-   as more vertices are placed and min is monotone, so the partial bound
+   term is fixed as soon as both of its same-side endpoints are placed,
+   so a partial order already yields a partial sum; sums only grow as
+   more vertices are placed and min is monotone, so the partial bound
    never decreases along a branch, and a branch is cut as soon as it
    exceeds k.  A layout of a drawing with at most k crossings has a bound
    of at most k, so no such layout is lost.  The crossable edge pairs and
    their weights come from BipartiteGraph.crossable_pairs.  Which of a
    pair's two terms a placed vertex x settles against an earlier z
    depends only on whether x is left of z, so the sums, and the bound,
-   depend only on the relative order of the placed vertices, not on
-   their ranks.  The walk places vertices in a fixed order, so it
-   computes them once per relative order it reaches and looks them up
-   for every other placement with that relative order.
+   depend only on the relative order of the placed vertices, which is
+   what the walk builds.  It keeps c_uv - c_vu per pair: the settled
+   weight c_uv + c_vu does not depend on the order, and
+   sum(min(c_uv, c_vu)) = (settled weight - sum(|c_uv - c_vu|)) / 2.
 
 5. The stream is therefore exactly the layouts with gap cost at most 4k
    on the spine and one-sided bound at most k, and that set is closed
    under reversal.  l(x) depends only on the graph and the spine.
    Reversing a layout (rank r -> a - 1 - r) keeps every
    |rank(x) - rank(T(x))|, hence every gap and every cost, and swaps c_uv
-   with c_vu for every pair, hence keeps the bound.  So the walk only
-   visits root ranks r <= (a - 1) / 2 and emits each layout it reaches
-   together with its reversal, whose root rank is a - 1 - r.  When a is
-   odd the middle root rank is its own mirror: its walk already reaches
-   both layouts of every mirror pair, so it emits them unmirrored.
+   with c_vu for every pair, hence keeps the bound.  Every layout has
+   order[1], the first vertex after the root, on one side of the root,
+   and its reversal has it on the other.  So the walk inserts order[1]
+   only right of the root and emits each layout it reaches together with
+   its reversal; the two halves are disjoint, so nothing repeats.
 
 Sides of size at most 1 have a single layout and are handled by the
 solver directly; the machinery here requires a side of 2 or more.
@@ -74,7 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .drawing import Layout
 from .graph import BipartiteGraph, GraphError, Side, is_connected
@@ -343,48 +349,43 @@ def _leaf_slack(g: BipartiteGraph, s: SpineMap) -> list[int]:
 
 
 def _order_tables(
-    g: BipartiteGraph, side: Side
-) -> tuple[list[list[list[tuple[int, int, int]]]], int]:
+    g: BipartiteGraph, side: Side, order: tuple[int, ...]
+) -> tuple[list[list[list[tuple[int, int]]]], list[int], int]:
     """Crossing weights that each same-side order decision settles.
 
     One pass over g.crossable_pairs.  Opposite-side pairs {lo < hi} are
-    numbered p = 0, 1, ... as first met; for each ordered pair (x, z) of
-    side vertices, tables[x][z] lists (p, to_lo_first, to_hi_first): the
-    edge-pair weight that, once x is ranked left of z, crosses when lo is
-    left of hi and when hi is left of lo respectively.  Also returns the
+    numbered p = 0, 1, ... as first met.  Once side vertex x is ranked
+    left of z, the edge pairs between them settle on p a weight that
+    crosses when lo is left of hi and one that crosses when hi is left
+    of lo.  tables[x][z] lists (p, first minus second) for every p where
+    the two differ, so tables[z][x] holds the same pairs negated.
+    settles[d] is the total weight that order[d] settles against
+    order[0..d-1], whichever way round each pair goes.  Also returns the
     number of opposite-side pairs.
     """
-    a = g.side_count(side)
+    a = len(order)
+    at = [0] * a
+    for d, v in enumerate(order):
+        at[v] = d
     pair_index: dict[tuple[int, int], int] = {}
-    acc: list[list[dict[int, list[int]]]] = [[{} for _ in range(a)] for _ in range(a)]
+    acc: dict[tuple[int, int, int], int] = {}
+    settles = [0] * a
     for x, y, x2, y2, w in g.crossable_pairs:
         s, t, s2, t2 = (x, y, x2, y2) if side is Side.X else (y, x, y2, x2)
+        if s > s2:
+            s, t, s2, t2 = s2, t2, s, t
         p = pair_index.setdefault((t, t2) if t < t2 else (t2, t), len(pair_index))
-        # s left of s2: the edges cross iff t2 is left of t, which is "hi
-        # first" when t < t2; s2 left of s: the other way round
-        hi_first = 1 if t < t2 else 0
-        acc[s][s2].setdefault(p, [0, 0])[hi_first] += w
-        acc[s2][s].setdefault(p, [0, 0])[1 - hi_first] += w
-    tables = [[[(p, lo, hi) for p, (lo, hi) in cell.items()] for cell in row] for row in acc]
-    return tables, len(pair_index)
-
-
-class _BoundState(NamedTuple):
-    """One node of the walk's memo: the one-sided bound of a relative order.
-
-    lo[p] and hi[p] are the settled weights c_uv and c_vu of opposite-side
-    pair p, bound is sum(min(lo[p], hi[p])), and children[i] is the state
-    after the next vertex in spine order is inserted at position i among
-    the placed ranks: _UNSEEN until tried, None once the bound cut it.
-    """
-
-    lo: list[int]
-    hi: list[int]
-    bound: int
-    children: list
-
-
-_UNSEEN = object()
+        # s left of s2: the edges cross iff t2 is left of t, which is "lo
+        # first" when t2 < t
+        key = (s, s2, p)
+        acc[key] = acc.get(key, 0) + (w if t2 < t else -w)
+        settles[max(at[s], at[s2])] += w
+    tables: list[list[list[tuple[int, int]]]] = [[[] for _ in range(a)] for _ in range(a)]
+    for (s, s2, p), e in acc.items():
+        if e:
+            tables[s][s2].append((p, e))
+            tables[s2][s].append((p, -e))
+    return tables, settles, len(pair_index)
 
 
 def enumerate_candidates(
@@ -402,46 +403,52 @@ def enumerate_candidates(
     with at most k crossings, that drawing's layout on this side, and
     every layout it streams has a one-sided crossing bound of at most k.
 
-    The walk assigns ranks depth-first in spine order, starting with a
-    budget of 4k.  Vertex x may take any gap up to the remaining budget
-    plus l(x) and pays max(0, gap - l(x)), with l computed once per call
-    by _leaf_slack (module docstring, step 2).  Trying every in-range
-    unused rank for a vertex is exactly trying every (gap, sign) pair
-    whose decode survives, so pruning on collisions or exhausted budget
-    discards only encodings whose decode would fail or overspend.
-    Placing a vertex adds the order-settled weights against every vertex
-    placed before it to the per-pair sums c_uv, c_vu, and the branch is
-    cut once sum(min(c_uv, c_vu)) exceeds k (see the module docstring);
-    at a leaf that sum is the full one-sided bound.  Distinct surviving
-    branches assign some vertex distinct ranks, hence the walk has no
-    duplicates.
+    The walk builds relative orders depth-first: it keeps the placed
+    vertices as one left-to-right sequence and inserts order[d] (spine
+    order, parents first, so T(x) is placed before x) at each of the
+    d + 1 positions in turn.  An insertion survives two checks, both on
+    lower bounds that only grow as vertices are inserted (module
+    docstring, steps 3 and 4):
 
-    The sums after placing order[0..d] are fixed by the relative order of
-    those vertices: placing x adds tables[x][z] or tables[z][x] for each
-    placed z, chosen by whether x is left of z alone.  So a child's sums
-    are fixed by its parent's and by x's position among the placed ranks.
-    The walk keeps them in a trie of relative orders (_BoundState), one
-    per call and shared by every root rank and gap: each child is settled
-    once, at its first try, and a child the bound cuts is stored as cut
-    (None).  The walk visits the same nodes and streams the same layouts
-    in the same order as it would recomputing the sums at every try.
-    Memory: the trie has at most one entry per (depth, relative order)
-    tried.  Only entries that survive the cut hold sums, two lists of one
-    int per opposite-side pair; each is entered by at least one walk
-    node, so there are at most as many as walk nodes.  A cut entry is a
-    None slot in its parent's children list, which has depth + 1 slots.
+    - the gap cost sum(max(0, between(x) - l(x))) is at most 4k, where
+      between(x) counts the placed vertices strictly between x and T(x)
+      and l is computed once per call by _leaf_slack.  Inserting x adds
+      x's own term and 1 for each placed y whose pair (y, T(y)) it
+      splits and whose between(y) already reaches l(y);
+    - the one-sided bound is at most k.  Per opposite-side pair the walk
+      keeps c_uv - c_vu; inserting x adds tables[z][x] for each placed z
+      to its left and tables[x][z] for each z to its right, and the bound
+      is (settled weight - sum(|c_uv - c_vu|)) / 2.  Moving the insertion
+      point right past z swaps tables[x][z] for tables[z][x], so the
+      positions are tried left to right with one table update per step.
 
-    Reversal keeps both the gap costs and the bound (module docstring, step
-    5), so only root ranks up to (a - 1) / 2 are walked and each layout
-    found is followed by its reversal, except at the middle root rank of
-    an odd side, whose walk holds both layouts of each mirror pair.  A
-    reversal has its root on a rank that is never walked, so it repeats
-    nothing.  The max_gap_budget check applies to gap_budget(a, k) =
-    4k + a - 1, the ceiling on the raw gap total.  The max_walk_nodes
-    check counts the nodes of the walk, over all root ranks, and so also
-    bounds the trie and the stream: every layout streamed is a leaf of
-    the walk or the reversal of one, so a stream holds at most
-    2 * max_walk_nodes layouts.
+    At depth a the sequence is the layout and both checks are exact, so
+    the stream is exactly the layouts with gap cost at most 4k and bound
+    at most k.  Reversal keeps both (module docstring, step 5), so
+    order[1] is inserted only right of the root, and each leaf is
+    streamed together with its reversal, which has order[1] left of the
+    root and is never walked.  Distinct walk nodes are distinct relative
+    orders, so each surviving relative order is entered once and the
+    stream has no duplicates.
+
+    The walk has at most as many nodes as a walk that assigns absolute
+    ranks (a root rank of at most (a - 1) / 2, then each vertex at some
+    gap from its successor's rank, cut by the same two checks on those
+    gaps).  Take a node, the order of order[0..d-1], or its reversal,
+    whichever has the root in its left half, and pack it onto the ranks
+    0..d-1: each gap is then the between count and the bound is the
+    same, so the packed ranks pass both checks, and so do their
+    restrictions to order[0..d'-1], which only lose terms.  That makes
+    it a node of the rank walk, and distinct nodes pack to distinct
+    rank-walk nodes, because a walked order's reversal is never walked.
+
+    The max_gap_budget check applies to gap_budget(a, k) = 4k + a - 1,
+    the ceiling on the raw gap total.  The max_walk_nodes check counts
+    the nodes of the walk, leaves included, and so also bounds the
+    stream: every layout streamed is a leaf of the walk or the reversal
+    of one, so a stream holds at most 2 * max_walk_nodes layouts.  A
+    node costs time linear in its depth plus the table entries of the
+    vertex it inserts (see Limits).
     """
     a = g.side_count(side)
     budget = gap_budget(a, k)
@@ -453,44 +460,21 @@ def enumerate_candidates(
     order = spine.decode_order
     successor = spine.successor
     slack = _leaf_slack(g, spine)
-    tables, pairs = _order_tables(g, side)
-
-    ranks = [0] * a
-    used = [False] * a
+    tables, settles, pairs = _order_tables(g, side, order)
+    cap = 4 * k
+    # least[d]: the bound of order[0..d] is at most k iff sum(|c_uv - c_vu|)
+    # reaches the weight they settle minus 2k
+    least = []
+    settled = -2 * k
+    for w in settles:
+        settled += w
+        least.append(settled)
+    seq = [order[0]]  # the placed vertices, left to right
+    where = [0] * a  # position in seq of each placed vertex
+    diff = [0] * pairs  # c_uv - c_vu per opposite-side pair u < v, as settled
     nodes = 0
-    # near[b]: (r, gap) for every rank r that a vertex whose successor sits
-    # at rank b can take, in the order tried: by gap, right before left.
-    # No vertex can afford a gap above 4k + l(x) <= 4k + 1.
-    near = [
-        [
-            (r, gap)
-            for gap in range(min(4 * k + 2, a))
-            for r in (b + gap + 1, b - gap - 1)
-            if 0 <= r < a
-        ]
-        for b in range(a)
-    ]
 
-    def settle(parent: _BoundState, depth: int, r: int) -> _BoundState | None:
-        """The state once order[depth] takes rank r, or None when the bound cuts it."""
-        x = order[depth]
-        lo = parent.lo[:]
-        hi = parent.hi[:]
-        bound = parent.bound
-        for z in order[:depth]:
-            for p, d_lo, d_hi in tables[x][z] if r < ranks[z] else tables[z][x]:
-                lo0 = lo[p]
-                hi0 = hi[p]
-                lo1 = lo0 + d_lo
-                hi1 = hi0 + d_hi
-                lo[p] = lo1
-                hi[p] = hi1
-                bound += (lo1 if lo1 < hi1 else hi1) - (lo0 if lo0 < hi0 else hi0)
-            if bound > k:
-                return None  # the bound only grows: no need to finish the sums
-        return _BoundState(lo, hi, bound, [_UNSEEN] * (depth + 2))
-
-    def walk(depth: int, remaining: int, state: _BoundState) -> Iterator[tuple[int, ...]]:
+    def walk(depth: int, spent: int, spread: int) -> Iterator[tuple[int, ...]]:
         nonlocal nodes
         nodes += 1
         if nodes > limits.max_walk_nodes:
@@ -498,40 +482,56 @@ def enumerate_candidates(
                 f"candidate walk on side {side.value} at k={k} exceeds "
                 f"max_walk_nodes={limits.max_walk_nodes}"
             )
+        for i, v in enumerate(seq):
+            where[v] = i
         if depth == a:
-            yield tuple(ranks)
+            yield tuple(where)
             return
         x = order[depth]
+        row = tables[x]
+        # step[i]: charge at position i minus charge at i - 1, where a
+        # placed pair (y, T(y)) is charged when x lands strictly inside it
+        step = [0] * (depth + 1)
+        for y in order[1:depth]:
+            lo, hi = where[y], where[successor[y]]
+            if lo > hi:
+                lo, hi = hi, lo
+            if hi - lo > slack[y]:  # between(y) >= l(y)
+                step[lo + 1] += 1
+                step[hi + 1] -= 1
+        t = where[successor[x]]
         free = slack[x]
-        reach = remaining + free
-        for r, gap in near[ranks[successor[x]]]:
-            if gap > reach:
-                break
-            if used[r]:
-                continue
-            slot = sum(used[:r])  # x's position among the placed ranks
-            child = state.children[slot]
-            if child is _UNSEEN:
-                child = state.children[slot] = settle(state, depth, r)
-            if child is None:
-                continue
-            ranks[x] = r
-            used[r] = True
-            yield from walk(depth + 1, remaining - (gap - free if gap > free else 0), child)
-            used[r] = False
+        reach = cap - spent + free
+        first = 1 if depth == 1 else max(0, t - reach)
+        last = min(depth, t + 1 + reach)
+        saved = diff[:]
+        for j, z in enumerate(seq):  # x at position first
+            for p, e in tables[z][x] if j < first else row[z]:
+                d0 = diff[p]
+                d1 = d0 + e
+                diff[p] = d1
+                spread += (d1 if d1 > 0 else -d1) - (d0 if d0 > 0 else -d0)
+        charge = sum(step[:first])
+        for i in range(first, last + 1):
+            if i > first:
+                for p, e in row[seq[i - 1]]:  # that vertex moves to x's left
+                    d0 = diff[p]
+                    d1 = d0 - 2 * e
+                    diff[p] = d1
+                    spread += (d1 if d1 > 0 else -d1) - (d0 if d0 > 0 else -d0)
+            charge += step[i]
+            gap = t - i if i <= t else i - t - 1
+            cost = spent + charge + (gap - free if gap > free else 0)
+            if cost <= cap and spread >= least[depth]:
+                seq.insert(i, x)
+                yield from walk(depth + 1, cost, spread)
+                del seq[i]
+        diff[:] = saved
 
-    root = order[0]
     top = a - 1
-    # one memo for every root rank: the root alone has one relative order
-    memo = _BoundState([0] * pairs, [0] * pairs, 0, [_UNSEEN] * 2)
-    for root_rank in range(top // 2 + 1):
-        mirror = 2 * root_rank != top  # the middle rank is its own mirror
-        ranks[root] = root_rank
-        used[root_rank] = True
-        for found in walk(1, 4 * k, memo):
-            for out in (found, tuple(top - r for r in found)) if mirror else (found,):
-                yield Layout(side, out)
-        used[root_rank] = False
+    for found in walk(1, 0, 0):
+        yield Layout(side, found)
+        yield Layout(side, tuple(top - r for r in found))
 
 
 def count_bound(a: int, k: int) -> int:

@@ -28,20 +28,25 @@ class Limits:
             a leaf-aware cost against 4*k); keeps a runaway k from
             silently requesting an absurd search.
         max_walk_nodes: cap on the nodes one candidate walk (one side at
-            one budget) visits, which bounds its time.  On a 2-core
-            x86_64 machine with Python 3.11 a walk spends 1.5-5 us per
-            node, so 2^22 nodes stand for about 7-20 s (6.8 s for two C4
-            joined by a 40-edge chain, side Y at k = 2).  It also bounds
-            the walk's memo, which holds bound sums for at most one state
-            per node, and the candidate stream, which holds at most two
-            layouts per node (a walk leaf and its reversal).
+            one budget) visits, which bounds its time.  A node is one
+            relative order of the vertices placed so far, and costs time
+            linear in their number plus the crossing-table entries of the
+            vertex it inserts.  On a 2-core x86_64 machine with Python
+            3.11 that is about 5 us per node on dense random graphs with
+            8-vertex sides at k = 20 (their walks end within about 6,000
+            nodes), 8.5 us on the 22-vertex side of C4 with a 40-edge
+            tail at k = 30 and 31 us on the 33-vertex side of C6 with a
+            60-edge tail at k = 20, so a walk that hits 2^19 nodes stops
+            after about 5-17 s.  It also bounds the candidate stream,
+            which holds at most two layouts per node (a walk leaf and its
+            reversal).
         k_max_default: default ceiling for the exact-optimum driver.
     """
 
     oracle_max_side: int = 8
     max_pair_evaluations: int = 1 << 30
     max_gap_budget: int = 512
-    max_walk_nodes: int = 1 << 22
+    max_walk_nodes: int = 1 << 19
     k_max_default: int = 32
 
 

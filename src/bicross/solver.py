@@ -584,7 +584,9 @@ def _solve_components(
     (see _solve_component) up to that one, stopping at the first that
     admits a drawing, which is then its optimum.  The search either way
     stops at the first component whose optimum exceeds its budget.  A
-    "yes" report carries k itself, or the summed optimum with ascend.
+    component without edges, an isolated vertex, is settled here: its one
+    drawing has no crossings and adds no work to the stats.  A "yes"
+    report carries k itself, or the summed optimum with ascend.
     stats are the component count plus the stats of every component
     solved, and method is "fpt-enum" iff their kernel_edges is positive.
     """
@@ -593,8 +595,12 @@ def _solve_components(
     solved: list[tuple[GraphComponent, tuple[list[int], list[int]]]] = []
     remaining = k
     for part in parts:
+        h = part.graph
+        if not h.m:
+            solved.append((part, _caterpillar_orders(h)))
+            continue
         budgets = range(0 if ascend else remaining, remaining + 1)
-        value, orders, found = _solve_component(part.graph, budgets, limits)
+        value, orders, found = _solve_component(h, budgets, limits)
         stats += found
         if value is None:
             break

@@ -8,7 +8,9 @@ import sys
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
 
+import bicross.enumeration as enumeration_mod
 from bicross import (
     BipartiteGraph,
     CandidateEncoding,
@@ -21,12 +23,14 @@ from bicross import (
     build_graph,
     build_spine,
     count_bound,
+    crossing_number_fast,
     decode_layout,
     encoding_from_layout,
     enumerate_candidates,
     gap_budget,
     verify_spine,
 )
+from bicross.graph import sibling_merge
 from bicross.limits import Limits
 from util import (
     all_drawings,
@@ -37,6 +41,7 @@ from util import (
     random_connected_graph,
     random_sibling_free_graph,
     reference_crossings,
+    weighted_connected_graphs,
 )
 
 
@@ -327,6 +332,36 @@ class TestMirroredWalk:
         assert all(middle_root_layouts.values()), middle_root_layouts
 
 
+class TestGapCheck:
+    """With the one-sided bound switched off, the stream is exactly the
+    layouts within the gap cost.
+
+    On the mirror cases the bound is the tighter of the two checks at every
+    k, so the filtered permutations above would not notice a gap check that
+    cuts too little.
+    """
+
+    def test_stream_is_exactly_the_layouts_within_the_gap_cost(self, monkeypatch):
+        def no_bound(g, side, order):
+            return [[[] for _ in order] for _ in order], [0] * len(order), 0
+
+        monkeypatch.setattr(enumeration_mod, "_order_tables", no_bound)
+        cut = 0
+        for g, edges, side in MIRROR_CASES:
+            a = g.side_count(side)
+            spine = build_spine(g, side, root=0)
+            slack = leaf_slack(edges, side is Side.X, spine.successor, spine.witness)
+            costs = [(p, leaf_aware_cost(p, spine.successor, slack)) for p in permutations(range(a))]
+            for k in range(3):
+                want = {p for p, cost in costs if cost <= 4 * k}
+                stream = [l.ranks for l in enumerate_candidates(g, side, k)]
+                assert len(stream) == len(set(stream)), (edges, side, k)
+                assert set(stream) == want, (edges, side, k)
+                cut += len(want) < len(costs)
+        # the gap check alone cuts something on 40 of the 66 (case, k) pairs
+        assert cut >= 40
+
+
 class TestLeafAwareCost:
     """Every drawing with at most k crossings has leaf-aware gap cost <= 4k."""
 
@@ -403,45 +438,53 @@ def walk_nodes(g, side, k):
 
 
 class TestWalkNodes:
-    # The pinned counts are those of the walk that recomputed the bound at
-    # every try: memoizing the bound removes bound evaluations, not nodes.
+    # A node is one relative order of the vertices placed so far that
+    # survives the gap check and the one-sided bound.
 
     def test_c4_tail_x_walk(self):
         # bcr is 1 for every tail length; the stream stays 2 X layouts
         a, b, edges = cycle_with_path(2, 24)
-        assert walk_nodes(BipartiteGraph(a, b, tuple(edges)), Side.X, 1) == (6468, 2)
+        assert walk_nodes(BipartiteGraph(a, b, tuple(edges)), Side.X, 1) == (14, 2)
 
     @pytest.mark.parametrize(
         "c,tail,side,k,nodes,streamed",
-        [(5, 4, Side.X, 3, 575, 0), (3, 8, Side.Y, 2, 307, 4)],
+        [(5, 4, Side.X, 3, 25, 0), (3, 8, Side.Y, 2, 13, 4)],
     )
     def test_pinned_walks(self, c, tail, side, k, nodes, streamed):
         a, b, edges = cycle_with_path(c, tail)
         assert walk_nodes(BipartiteGraph(a, b, tuple(edges)), side, k) == (nodes, streamed)
 
-    def test_each_relative_order_is_settled_once(self):
-        # C10 plus a 4-edge tail at k = 3: the bound is tracked and cuts
-        a, b, edges = cycle_with_path(5, 4)
+    @pytest.mark.parametrize(
+        "c,tail,side,k",
+        [(5, 4, Side.X, 3), (5, 4, Side.X, 5), (2, 10, Side.Y, 5), (3, 5, Side.Y, 5)],
+    )
+    def test_each_relative_order_is_entered_once(self, c, tail, side, k):
+        a, b, edges = cycle_with_path(c, tail)
         g = BipartiteGraph(a, b, tuple(edges))
-        seen = []
+        live: set[int] = set()
+        entered = []
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_name == "settle":
-                args = frame.f_locals
-                depth, order, ranks = args["depth"], args["order"], args["ranks"]
-                placed = [ranks[v] for v in order[:depth]] + [args["r"]]
-                seen.append(tuple(sorted(range(depth + 1), key=placed.__getitem__)))
+            # a node's sequence of placed vertices, read when its walk starts
+            if frame.f_code.co_name != "walk":
+                return
+            if event == "call" and id(frame) not in live:
+                live.add(id(frame))
+                entered.append(tuple(frame.f_locals["seq"]))
+            elif event == "return" and arg is None:
+                live.discard(id(frame))
 
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            assert list(enumerate_candidates(g, Side.X, 3)) == []
+            streamed = sum(1 for _ in enumerate_candidates(g, side, k))
         finally:
             sys.setprofile(previous)
-        nodes, _ = walk_nodes(g, Side.X, 3)
-        assert len(seen) == len(set(seen))
-        # recomputing evaluated the bound once per try, so at least once per node
-        assert 0 < len(seen) < nodes // 2
+        assert (len(entered), streamed) == walk_nodes(g, side, k)
+        assert len(set(entered)) == len(entered)
+        # the mirror half is never walked: no order is entered with its reversal
+        assert not {s[::-1] for s in entered if len(s) > 1} & set(entered)
+        assert len(entered) >= 25
 
     def test_counter_sees_every_node(self):
         # C4 at k = 0: the root's child x1 is cut by the one-sided bound
@@ -470,6 +513,95 @@ class TestWalkNodes:
             assert streamed <= 2 * nodes, (g, side, k)
             largest = max(largest, streamed)
         assert largest >= 32  # the cases include streams of some size
+
+
+def attach_c4(a, b, edges, v, on_x):
+    """(a, b, edges) plus a new 4-cycle through vertex v, on X if on_x."""
+    if on_x:
+        return a + 1, b + 2, edges + [(v, b, 1), (v, b + 1, 1), (a, b, 1), (a, b + 1, 1)]
+    return a + 2, b + 1, edges + [(a, v, 1), (a + 1, v, 1), (a, b, 1), (a + 1, b, 1)]
+
+
+def dumbbell(chain):
+    """Two C4 joined by a bridge chain of the given number of edges (bcr 2)."""
+    a, b, edges = cycle_with_path(2, chain)
+    # the chain ends on the vertex added last: on X after an even count
+    if chain % 2:
+        return attach_c4(a, b, edges, b - 1, False)
+    return attach_c4(a, b, edges, a - 1, True)
+
+
+def hanging_caterpillar(spine):
+    """C4 with a path of spine edges hung on x0 and a leaf on each path vertex (bcr 1)."""
+    a, b, edges = cycle_with_path(2, spine)
+    xs, ys = range(2, a), range(2, b)  # the path's vertices after x0
+    edges += [(x, b + i, 1) for i, x in enumerate(xs)]
+    edges += [(a + i, y, 1) for i, y in enumerate(ys)]
+    return a + len(ys), b + len(xs), sorted(edges)
+
+
+class TestWalkGrowth:
+    """Walk nodes at fixed k as a tree part of the graph grows.
+
+    The graphs are enumerated whole, with no kernel cut first, and the
+    walk nodes grow linearly with the tree part.
+    """
+
+    @pytest.mark.parametrize(
+        "make,k,size,x_walk,y_walk",
+        [
+            (lambda n: cycle_with_path(2, n), 1, 8, (6, 2), (10, 4)),
+            (lambda n: cycle_with_path(2, n), 1, 16, (10, 2), (18, 4)),
+            (lambda n: cycle_with_path(2, n), 1, 24, (14, 2), (26, 4)),
+            (dumbbell, 2, 10, (8, 2), (18, 8)),
+            (dumbbell, 2, 20, (13, 2), (28, 8)),
+            (dumbbell, 2, 40, (23, 2), (48, 8)),
+            (hanging_caterpillar, 1, 10, (12, 2), (22, 4)),
+            (hanging_caterpillar, 1, 20, (22, 2), (42, 4)),
+            (hanging_caterpillar, 1, 30, (32, 2), (62, 4)),
+        ],
+    )
+    def test_pinned_growth(self, make, k, size, x_walk, y_walk):
+        a, b, edges = make(size)
+        assert not has_sibling_pair(a, b, edges)
+        g = BipartiteGraph(a, b, tuple(edges))
+        assert (walk_nodes(g, Side.X, k), walk_nodes(g, Side.Y, k)) == (x_walk, y_walk)
+
+    def test_dumbbell_decides_under_the_default_limits(self):
+        a, b, edges = dumbbell(40)
+        report = bcr_decide(BipartiteGraph(a, b, tuple(edges)), 2)
+        assert (report.decision, report.optimum) == ("yes", 2)
+        assert crossing_number_fast(report.witness) == 2
+
+
+class TestWeightedWalk:
+    """The stream against the filtered permutations on weighted graphs."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(t=weighted_connected_graphs(max_side=6))
+    def test_stream_is_exactly_the_filtered_permutations(self, t):
+        # the walk takes sibling-merged graphs, as the solver gives it
+        g = sibling_merge(BipartiteGraph(t[0], t[1], tuple(t[2]))).graph
+        edges = list(g.edges)
+        for side in (Side.X, Side.Y):
+            a = g.side_count(side)
+            if a < 2:
+                continue
+            spine = build_spine(g, side, root=0)
+            slack = leaf_slack(edges, side is Side.X, spine.successor, spine.witness)
+            scored = [
+                (
+                    perm,
+                    leaf_aware_cost(perm, spine.successor, slack),
+                    one_sided_bound(edges, side is Side.X, perm),
+                )
+                for perm in permutations(range(a))
+            ]
+            for k in range(5):
+                want = {p for p, cost, bound in scored if cost <= 4 * k and bound <= k}
+                stream = [l.ranks for l in enumerate_candidates(g, side, k)]
+                assert len(stream) == len(set(stream)), (edges, side, k)
+                assert set(stream) == want, (edges, side, k)
 
 
 class TestCountBound:

@@ -42,6 +42,7 @@ from util import (
     random_connected_graph,
     reference_bcr,
     scan_bcr,
+    weighted_connected_graphs,
     with_pendant_path,
 )
 
@@ -538,6 +539,24 @@ class TestExact:
         assert bcr_decide(g, report.optimum).decision == "yes"
         assert len(calls) == 1
 
+    def test_isolated_vertices_skip_the_component_solver(self, monkeypatch):
+        calls = []
+        real = solver_mod._solve_component
+
+        def counting(h, *args):
+            calls.append(h)
+            return real(h, *args)
+
+        monkeypatch.setattr(solver_mod, "_solve_component", counting)
+        # one edge, then 24 isolated X vertices and 24 isolated Y vertices
+        g = build_graph(25, 25, [(0, 0)])
+        for report in (bcr_decide(g, 0), bcr_exact(g, 3)):
+            assert (report.decision, report.optimum) == ("yes", 0)
+            assert report.stats == solver_mod.SolveStats(49, 0, 0, 0, 0, 0)
+            identity = tuple(range(25))
+            assert (report.witness.fx.ranks, report.witness.fy.ranks) == (identity, identity)
+        assert [h.m for h in calls] == [1, 1]
+
     def test_empty_graph(self):
         report = bcr_exact(build_graph(0, 0, []), 5)
         assert (report.decision, report.optimum, report.k) == ("yes", 0, 0)
@@ -739,31 +758,6 @@ class TestPairSearch:
             assert (best, i, j) == (true_best, bi, bj)
         else:
             assert best > budget
-
-
-@st.composite
-def weighted_connected_graphs(draw):
-    """A connected graph with 1-5 vertices a side and edge weights 1-3.
-
-    A spanning tree grown from the edge (x0, y0), each further vertex
-    joining a vertex already placed on the other side, plus extra edges.
-    """
-    a = draw(st.integers(1, 5))
-    b = draw(st.integers(1, 5))
-    rest = [("x", x) for x in range(1, a)] + [("y", y) for y in range(1, b)]
-    rest = draw(st.permutations(rest))
-    placed = {"x": [0], "y": [0]}
-    cells = {(0, 0)}
-    for side, v in rest:
-        if side == "x":
-            cells.add((v, draw(st.sampled_from(placed["y"]))))
-        else:
-            cells.add((draw(st.sampled_from(placed["x"])), v))
-        placed[side].append(v)
-    every = [(x, y) for x in range(a) for y in range(b)]
-    cells |= set(draw(st.lists(st.sampled_from(every), max_size=6)))
-    weight = st.sampled_from([1, 1, 1, 2, 3])
-    return a, b, sorted((x, y, draw(weight)) for x, y in cells)
 
 
 class TestAgainstTheScan:

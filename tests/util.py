@@ -12,6 +12,7 @@ from collections import deque
 from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
+from hypothesis import strategies as st
 
 Triple = tuple[int, int, list[tuple[int, int, int]]]
 
@@ -384,3 +385,28 @@ def random_disconnected_graph(rng, max_block_side: int = 3, edge_prob: float = 0
         edges = sorted((px[x], py[y], 1) for x, y in pairs)
         if not is_connected_triple(a, b, edges):
             return a, b, edges
+
+
+@st.composite
+def weighted_connected_graphs(draw, max_side: int = 5):
+    """A connected graph with 1 to max_side vertices a side and edge weights 1-3.
+
+    A spanning tree grown from the edge (x0, y0), each further vertex
+    joining a vertex already placed on the other side, plus extra edges.
+    """
+    a = draw(st.integers(1, max_side))
+    b = draw(st.integers(1, max_side))
+    rest = [("x", x) for x in range(1, a)] + [("y", y) for y in range(1, b)]
+    rest = draw(st.permutations(rest))
+    placed = {"x": [0], "y": [0]}
+    cells = {(0, 0)}
+    for side, v in rest:
+        if side == "x":
+            cells.add((v, draw(st.sampled_from(placed["y"]))))
+        else:
+            cells.add((draw(st.sampled_from(placed["x"])), v))
+        placed[side].append(v)
+    every = [(x, y) for x in range(a) for y in range(b)]
+    cells |= set(draw(st.lists(st.sampled_from(every), max_size=6)))
+    weight = st.sampled_from([1, 1, 1, 2, 3])
+    return a, b, sorted((x, y, draw(weight)) for x, y in cells)
