@@ -30,7 +30,6 @@ from .enumeration import (
     decode_layout,
     encoding_from_layout,
     enumerate_candidates,
-    gap_budget,
     verify_spine,
 )
 from .graph import (

@@ -18,8 +18,15 @@ from pathlib import Path
 
 from .drawing import Drawing, crossing_number_fast
 from .graph import BipartiteGraph
-from .limits import DEFAULT_LIMITS, ResourceLimitError
-from .solver import CensusResult, SolveReport, bcr_decide, bcr_exact, census
+from .limits import ResourceLimitError
+from .solver import (
+    K_MAX_DEFAULT,
+    CensusResult,
+    SolveReport,
+    bcr_decide,
+    bcr_exact,
+    census,
+)
 
 
 class ParseError(ValueError):
@@ -385,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kmax",
         type=_budget,
         default=None,
-        help=f"largest budget tried (default {DEFAULT_LIMITS.k_max_default})",
+        help=f"largest budget tried (default {K_MAX_DEFAULT})",
     )
     _add_common(exact)
     _add_solver_flags(exact)

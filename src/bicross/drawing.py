@@ -135,29 +135,21 @@ def crossing_number_fast(d: Drawing) -> int:
 
     Sort edges by (x-rank, y-rank) and sweep left to right, keeping the
     accumulated weight per y-rank in a binary indexed tree.  An earlier
-    edge crosses the current one iff its y-rank is strictly larger, so
-    each edge contributes its weight times the weight already inserted
-    above its y-rank.  Edges are inserted a whole x-rank group at a time
-    because edges sharing an X vertex never cross each other.
+    edge crosses the current one iff its x-rank is smaller and its y-rank
+    strictly larger, so each edge contributes its weight times the weight
+    already inserted above its y-rank.  An earlier edge with the same
+    x-rank has a smaller y-rank, by the sort, so it is never counted.
     """
     g = d.graph
     if g.m <= 1:
         return 0
     fx = d.fx.ranks
     fy = d.fy.ranks
-    order = sorted((fx[x], fy[y], w) for x, y, w in g.edges)
     tree = _Fenwick(g.y_count)
     total = 0
     inserted = 0
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and order[j][0] == order[i][0]:
-            j += 1
-        for _, ry, w in order[i:j]:
-            total += w * (inserted - tree.prefix(ry))
-        for _, ry, w in order[i:j]:
-            tree.add(ry, w)
-            inserted += w
-        i = j
+    for _, ry, w in sorted((fx[x], fy[y], w) for x, y, w in g.edges):
+        total += w * (inserted - tree.prefix(ry))
+        tree.add(ry, w)
+        inserted += w
     return total

@@ -37,9 +37,9 @@ the graph is connected and free of sibling pairs.  The mechanism:
    layout below it.  Such a layout is also reproduced by a root rank and
    per non-root vertex a gap and a direction (CandidateEncoding,
    decode_layout).  At most a - 1 vertices have l(x) = 1, so the raw
-   gaps still sum to at most 4k + a - 1 (gap_budget, capped by
-   Limits.max_gap_budget): the stream is a subset of the orders that
-   count_bound counts.
+   gaps still sum to at most 4k + a - 1: the stream is a subset of the
+   orders that count_bound counts.  That total is not capped; the walk's
+   one guard is Limits.max_walk_nodes.
 
 4. The same walk also cuts on the one-sided crossing bound (Juenger and
    Mutzel 1997; Dujmovic, Fernau and Kaufmann 2008).  Fix this side's
@@ -146,14 +146,14 @@ def _euler_circuit(g: BipartiteGraph, start: int) -> list[int]:
     Hierholzer, iterative, always taking the lowest (neighbor, slot) still
     unused, with the assembled circuit reversed at the end.
     """
+    # g.edges is sorted with no duplicates, so every list is built in
+    # (neighbor, slot) order and needs no sort
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for e, (x, y, _) in enumerate(g.edges):
         u, v = x, g.x_count + y
         for slot in (2 * e, 2 * e + 1):
             adj[u].append((v, slot))
             adj[v].append((u, slot))
-    for lst in adj:
-        lst.sort()
     ptr = [0] * g.n
     used = [False] * (2 * g.m)
     stack = [start]
@@ -311,16 +311,6 @@ def encoding_from_layout(s: SpineMap, layout: Layout) -> CandidateEncoding:
     return CandidateEncoding(gaps, signs, ranks[s.root])
 
 
-def gap_budget(a: int, k: int) -> int:
-    """Ceiling on the raw gap total for side size a and crossing budget k: 4k + a - 1.
-
-    The walk charges max(0, gap - l(x)) against 4k; with l(x) <= 1 on at
-    most a - 1 vertices, the raw gaps of any streamed layout sum to at
-    most this value.
-    """
-    return 4 * k + a - 1
-
-
 def _leaf_slack(g: BipartiteGraph, s: SpineMap) -> list[int]:
     """l(x) per side vertex: the rank a gap may skip free of charge.
 
@@ -442,20 +432,15 @@ def enumerate_candidates(
     it a node of the rank walk, and distinct nodes pack to distinct
     rank-walk nodes, because a walked order's reversal is never walked.
 
-    The max_gap_budget check applies to gap_budget(a, k) = 4k + a - 1,
-    the ceiling on the raw gap total.  The max_walk_nodes check counts
-    the nodes of the walk, leaves included, and so also bounds the
-    stream: every layout streamed is a leaf of the walk or the reversal
-    of one, so a stream holds at most 2 * max_walk_nodes layouts.  A
-    node costs time linear in its depth plus the table entries of the
-    vertex it inserts (see Limits).
+    The raw gaps of a streamed layout sum to at most 4k + a - 1, the
+    count_bound argument, for any k: no cap applies to it.  The one
+    guard is max_walk_nodes, which counts the nodes of the walk, leaves
+    included, and so also bounds the stream: every layout streamed is a
+    leaf of the walk or the reversal of one, so a stream holds at most
+    2 * max_walk_nodes layouts.  A node costs time linear in its depth
+    plus the table entries of the vertex it inserts (see Limits).
     """
     a = g.side_count(side)
-    budget = gap_budget(a, k)
-    if budget > limits.max_gap_budget:
-        raise ResourceLimitError(
-            f"gap budget {budget} exceeds max_gap_budget={limits.max_gap_budget}"
-        )
     spine = build_spine(g, side, root=0)
     order = spine.decode_order
     successor = spine.successor

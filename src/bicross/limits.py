@@ -15,18 +15,19 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Limits:
-    """Ceilings for the exhaustive parts of the solver.
+    """Three ceilings on the solver's work, one per kind of work.
+
+    oracle_max_side bounds the exhaustive scans, max_pair_evaluations the
+    candidate-pair search (and the layout pairs a scan would visit), and
+    max_walk_nodes the candidate walk.  Exceeding one raises
+    ResourceLimitError.
 
     Attributes:
-        oracle_max_side: largest per-side vertex count the brute-force
-            oracle (and the census scan) will accept.
+        oracle_max_side: largest per-side vertex count the exhaustive
+            scans (the brute-force oracle and the census) will accept.
         max_pair_evaluations: cap on candidate-pair crossing evaluations
             in a single component search, and on the layout pairs an
             exhaustive scan (oracle or census) would visit.
-        max_gap_budget: cap on 4*k + a - 1, the ceiling on the raw gap
-            total of a side's candidate layouts (the walk itself charges
-            a leaf-aware cost against 4*k); keeps a runaway k from
-            silently requesting an absurd search.
         max_walk_nodes: cap on the nodes one candidate walk (one side at
             one budget) visits, which bounds its time.  A node is one
             relative order of the vertices placed so far, and costs time
@@ -39,15 +40,13 @@ class Limits:
             60-edge tail at k = 20, so a walk that hits 2^19 nodes stops
             after about 5-17 s.  It also bounds the candidate stream,
             which holds at most two layouts per node (a walk leaf and its
-            reversal).
-        k_max_default: default ceiling for the exact-optimum driver.
+            reversal).  It is the walk's only bound: the budget may be
+            any size.
     """
 
     oracle_max_side: int = 8
     max_pair_evaluations: int = 1 << 30
-    max_gap_budget: int = 512
     max_walk_nodes: int = 1 << 19
-    k_max_default: int = 32
 
 
 DEFAULT_LIMITS = Limits()

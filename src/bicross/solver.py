@@ -42,9 +42,9 @@ count also exceeds the budget.  The lexicographically first minimum is
 therefore unchanged whenever it fits the budget, and the early exit at
 the lower bound (never above the budget) fires in the same chunk.  All
 partial sums stay within the clamped mass, which is checked to be below
-2^53.  With the default gap-budget cap the budget is at most 128, so the
-mass is at most 129 per crossable pair and only a raised cap combined with
-huge weights can reach 2^53.
+2^53.  The budget searched is at most the identity drawing's crossing
+count, which huge weights make huge, so the check can fire under the
+default Limits: the search then raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ from .graph import (
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 
 _PAIR_CHUNK_ROWS = 2048
+K_MAX_DEFAULT = 32  # bcr_exact's k_max when none is given
 
 
 class SelfCheckError(RuntimeError):
@@ -547,7 +548,8 @@ def _solve_component(
         return None, None, _NO_WORK
 
     # the optimum is at most any drawing's count, so a larger budget admits
-    # no further optimal pair; the cap keeps the gap budget 4k + a - 1 small
+    # no further optimal pair; the cap keeps the walk's budget, and so its
+    # nodes, small
     cap = crossing_number_fast(identity_drawing(h))
     stats = _NO_WORK
     for budget in range(max(min(budgets[0], cap), lb), min(hi, cap) + 1):
@@ -646,7 +648,7 @@ def bcr_exact(
     limits: Limits = DEFAULT_LIMITS,
     threads: int = 1,
 ) -> SolveReport:
-    """Smallest k admitting a drawing, searched up to k_max.
+    """Smallest k admitting a drawing, searched up to k_max (default K_MAX_DEFAULT, 32).
 
     The graph is split once and each component is solved to its optimum
     once, by raising its budget one step at a time from its lower bound
@@ -665,7 +667,7 @@ def bcr_exact(
     as in bcr_decide.
     """
     if k_max is None:
-        k_max = limits.k_max_default
+        k_max = K_MAX_DEFAULT
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     return _solve_components(g, k_max, limits, ascend=True)

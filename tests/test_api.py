@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -47,6 +48,11 @@ PUBLIC = [
 
 def test_all_is_pinned():
     assert sorted(bicross.__all__) == PUBLIC
+
+
+def test_limits_has_one_ceiling_per_kind_of_work():
+    names = [f.name for f in dataclasses.fields(bicross.Limits)]
+    assert names == ["oracle_max_side", "max_pair_evaluations", "max_walk_nodes"]
 
 
 def test_every_public_name_resolves():

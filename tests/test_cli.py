@@ -293,8 +293,8 @@ class TestCommands:
         assert json.loads(out)["decision"] == "no"
 
     def test_large_budget_is_capped(self, tmp_path, capsys):
-        # two disjoint C6 (bcr 2 each): the gap budget of k = 200 alone
-        # would exceed max_gap_budget
+        # two disjoint C6 (bcr 2 each): each is searched at most at its
+        # identity drawing's crossing count, not at k = 200
         edges = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)]
         text = "bigraph 6 6\n" + "".join(
             f"x{x + s} y{y + s}\n" for s in (0, 3) for x, y in edges
@@ -304,6 +304,17 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert (doc["decision"], doc["optimum"]) == ("yes", 4)
+
+    def test_budget_past_128_answers(self, tmp_path, capsys):
+        # C4 where x1 and y1 each carry 40 leaves: bcr 1 at every budget
+        text = "bigraph 42 42\nx0 y0\nx0 y1\nx1 y0\nx1 y1\n" + "".join(
+            f"x1 y{2 + i}\nx{2 + i} y1\n" for i in range(40)
+        )
+        path = write(tmp_path, "hub_leaf_c4.bg", text)
+        for k in ("127", "128", "1000000"):
+            code, out, _ = self.run(capsys, "decide", "--k", k, path)
+            assert code == 0
+            assert "optimum: 1" in out
 
     def test_json_deterministic_modulo_wall_time(self, tmp_path, capsys):
         path = write(tmp_path, "c4.bg", C4_TEXT)

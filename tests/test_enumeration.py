@@ -27,7 +27,6 @@ from bicross import (
     decode_layout,
     encoding_from_layout,
     enumerate_candidates,
-    gap_budget,
     verify_spine,
 )
 from bicross.graph import sibling_merge
@@ -210,11 +209,6 @@ class TestEnumerate:
         assert reference_crossings(edges, (1, 0, 3, 2), (1, 0)) == 0
         with pytest.raises(GraphError, match="witness y1 of x1 has 2 free leaves"):
             list(enumerate_candidates(g, Side.X, 0))
-
-    def test_budget_limit_error(self):
-        tight = Limits(max_gap_budget=4)
-        with pytest.raises(ResourceLimitError, match="max_gap_budget"):
-            list(enumerate_candidates(c4(), Side.X, 1, tight))
 
     def test_walk_node_ceiling_error(self):
         # C4 at k = 1 walks two nodes per side (TestWalkNodes): the root and x1
@@ -608,7 +602,6 @@ class TestCountBound:
     def test_values(self):
         assert count_bound(3, 1) == 1536
         assert count_bound(2, 0) == 8
-        assert gap_budget(3, 1) == 6
 
     def test_small_side_rejected(self):
         with pytest.raises(ValueError):

@@ -59,6 +59,25 @@ def star(leaves):
     return build_graph(1, leaves, [(0, j) for j in range(leaves)])
 
 
+def weighted_c4(w00, w01, w10, w11):
+    """C4 with weight wxy on the edge from x to y."""
+    return build_graph(2, 2, [(0, 0, w00), (0, 1, w01), (1, 0, w10), (1, 1, w11)])
+
+
+def hub_leaf_c4(n=40):
+    """C4 where x1 and y1 each carry n leaves: unweighted, bcr 1."""
+    edges = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    edges += [(1, 2 + i) for i in range(n)] + [(2 + i, 1) for i in range(n)]
+    return build_graph(2 + n, 2 + n, edges)
+
+
+def c10_hub(n=30):
+    """C10 with n leaves on each of its 5 X vertices: bcr 94."""
+    edges = [(i, j % 5) for i in range(5) for j in (i, i + 1)]
+    edges += [(i, 5 + i * n + j) for i in range(5) for j in range(n)]
+    return build_graph(5, 5 + 5 * n, edges)
+
+
 def random_union(rng, parts, max_n):
     """Disjoint union of random connected graphs with leaf weights."""
     a = b = 0
@@ -363,6 +382,34 @@ class TestDecide:
             bcr_decide(c4(), -1)
 
 
+class TestLargeBudgets:
+    """No ceiling on the budget: the walk-node cap is the walk's one guard."""
+
+    def test_hub_leaf_c4_answers_at_every_budget(self):
+        g = hub_leaf_c4()
+        reports = [bcr_decide(g, k) for k in (1, 127, 128, 500, 10**6)]
+        assert {(r.decision, r.optimum) for r in reports} == {("yes", 1)}
+        assert len({(r.witness.fx, r.witness.fy) for r in reports}) == 1
+        # from k = 127 up the search runs at min(k, 1601), the identity
+        # drawing's count, where every layout of the 3-vertex sides fits;
+        # at k = 1 the walks stream 2 of the 6
+        assert len({r.stats for r in reports[1:]}) == 1
+        assert (reports[0].stats.candidates_x, reports[1].stats.candidates_x) == (2, 6)
+
+    def test_weighted_c4_above_128(self):
+        g = weighted_c4(12, 12, 12, 12)
+        assert bcr_decide(g, 144).optimum == 144
+        assert bcr_exact(g, 200).optimum == 144
+
+    def test_huge_budget_stops_at_the_walk_node_cap(self):
+        # the search runs at the identity drawing's count, 607, not at 10^6
+        with pytest.raises(ResourceLimitError, match="k=607 exceeds max_walk_nodes=1000"):
+            bcr_decide(c10_hub(), 10**6, Limits(max_walk_nodes=1000))
+
+    def test_c10_hub_optimum(self):
+        assert bcr_decide(c10_hub(), 127).optimum == 94
+
+
 class TestExact:
     def test_known_values(self):
         assert bcr_exact(c4(), 5).optimum == 1
@@ -387,9 +434,12 @@ class TestExact:
         assert report.stats.candidates_x == 2
         assert report.stats.pairs_evaluated > 0
 
-    def test_default_kmax_comes_from_limits(self):
-        tight = Limits(k_max_default=0)
-        assert bcr_exact(c4(), limits=tight).decision == "no"
+    def test_default_kmax_is_32(self):
+        # the cheaper crossing pair of C4 costs 4 * 8 = 32 here, against 6 * 6
+        report = bcr_exact(weighted_c4(4, 6, 6, 8))
+        assert (report.decision, report.optimum) == ("yes", 32)
+        report = bcr_exact(weighted_c4(6, 6, 6, 6))
+        assert (report.decision, report.optimum, report.k) == ("no", None, 32)
 
     def test_oracle_agreement_random(self):
         rng = random.Random(71)
@@ -701,12 +751,11 @@ class TestPairSearch:
     def test_clamped_mass_past_2_53_raises_in_the_pair_search(self):
         g = heavy_c4(1 << 60)
         k = 1 << 60
-        limits = Limits(max_gap_budget=1 << 70)
-        # the gap budget fits, so enumeration is not what raises
+        # the default Limits: enumeration at any budget is not what raises
         for side in (Side.X, Side.Y):
-            assert list(enumerate_candidates(g, side, k, limits))
+            assert list(enumerate_candidates(g, side, k))
         with pytest.raises(ResourceLimitError, match="candidate-pair search"):
-            bcr_decide(g, k, limits)
+            bcr_decide(g, k)
 
     @settings(max_examples=300, deadline=None)
     @given(case=pair_search_cases(), data=st.data())
