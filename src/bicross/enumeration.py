@@ -60,6 +60,10 @@ the graph is connected and free of sibling pairs.  The mechanism:
    what the walk builds.  It keeps c_uv - c_vu per pair: the settled
    weight c_uv + c_vu does not depend on the order, and
    sum(min(c_uv, c_vu)) = (settled weight - sum(|c_uv - c_vu|)) / 2.
+   Since it places vertices in a fixed order, only the rows of a later
+   vertex x against an earlier z are ever read: the change when x goes
+   left of all of order[0..d-1], the same set on every branch, and the
+   change when x then moves right past z.
 
 5. The stream is therefore exactly the layouts with gap cost at most 4k
    on the spine and one-sided bound at most k, and that set is closed
@@ -80,10 +84,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .drawing import Layout
-from .graph import BipartiteGraph, GraphError, Side, is_connected
+from .graph import BipartiteGraph, GraphError, Side
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 
 
@@ -141,34 +145,41 @@ def _euler_circuit(g: BipartiteGraph, start: int) -> list[int]:
     """Deterministic Eulerian circuit of the doubled multigraph.
 
     Vertices are combined ids (X vertex i -> i, Y vertex j -> x_count + j).
-    Edge number e contributes two parallel slots 2e and 2e+1; every vertex
-    degree is even, so a circuit exists whenever the graph is connected.
-    Hierholzer, iterative, always taking the lowest (neighbor, slot) still
-    unused, with the assembled circuit reversed at the end.
+    Every edge is traversed twice, so every vertex degree is even and a
+    circuit exists whenever the graph is connected.  Hierholzer,
+    iterative, always leaving by the lowest neighbour whose edge has been
+    traversed fewer than two times, with the assembled circuit reversed
+    at the end.
     """
-    # g.edges is sorted with no duplicates, so every list is built in
-    # (neighbor, slot) order and needs no sort
+    xc = g.x_count
+    edges = g.edges
+    # g.edges is sorted with no duplicates, so built from the last edge
+    # down, every list ends with its lowest neighbour
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e, (x, y, _) in enumerate(g.edges):
-        u, v = x, g.x_count + y
-        for slot in (2 * e, 2 * e + 1):
-            adj[u].append((v, slot))
-            adj[v].append((u, slot))
-    ptr = [0] * g.n
-    used = [False] * (2 * g.m)
+    for e in range(len(edges) - 1, -1, -1):
+        x, y, _ = edges[e]
+        adj[x].append((xc + y, e))
+        adj[xc + y].append((x, e))
+    used = [0] * len(edges)  # traversals of each edge so far, 0 to 2
     stack = [start]
     circuit: list[int] = []
-    while stack:
-        v = stack[-1]
+    v = start
+    while True:
         lst = adj[v]
-        while ptr[v] < len(lst) and used[lst[ptr[v]][1]]:
-            ptr[v] += 1
-        if ptr[v] == len(lst):
-            circuit.append(stack.pop())
-        else:
-            w, slot = lst[ptr[v]]
-            used[slot] = True
+        while lst:
+            w, e = lst[-1]
+            if used[e] == 2:
+                lst.pop()  # no traversal left: never looked at again
+                continue
+            used[e] += 1
             stack.append(w)
+            v = w
+            break
+        else:  # every edge at v is used up: v comes next, from the end
+            circuit.append(stack.pop())
+            if not stack:
+                break
+            v = stack[-1]
     circuit.reverse()
     return circuit
 
@@ -180,7 +191,8 @@ def build_spine(g: BipartiteGraph, side: Side, root: int) -> SpineMap:
     after the last occurrence of x on the circuit and mid(x) the vertex in
     between.  The circuit alternates sides, T(x)'s last visit comes later
     than x's, and the circuit both starts and ends at the root, so the
-    successor pointers form a tree rooted there.
+    successor pointers form a tree rooted there.  Both maps list the
+    vertices in the order of their first visit.
     """
     a = g.side_count(side)
     b = g.side_count(side.other)
@@ -188,35 +200,26 @@ def build_spine(g: BipartiteGraph, side: Side, root: int) -> SpineMap:
         raise GraphError("spine needs at least 2 vertices on the side and 1 opposite")
     if not 0 <= root < a:
         raise GraphError(f"root {root} out of range for side of size {a}")
-    if not is_connected(g):
+
+    xc = g.x_count
+    circuit = _euler_circuit(g, root if side is Side.X else xc + root)
+    # the circuit alternates sides from the root: this side at even positions
+    if side is Side.X:
+        own = circuit[0::2]
+        mids = [cid - xc for cid in circuit[1::2]]
+    else:
+        own = [cid - xc for cid in circuit[0::2]]
+        mids = circuit[1::2]
+    # one pass: a later visit overwrites the values but keeps the key's
+    # place, so each map holds the last visit's values in first-visit order
+    successor = dict(zip(own, own[1:]))
+    witness = dict(zip(own, mids))
+    # the root's last visit ends the circuit; its earlier ones are dropped
+    successor.pop(root, None)
+    witness.pop(root, None)
+    # the circuit reaches exactly the root's component
+    if len(successor) != a - 1 or len(set(mids)) != b:
         raise GraphError("spine construction requires a connected graph")
-
-    offset = 0 if side is Side.X else g.x_count
-    circuit = _euler_circuit(g, offset + root)
-
-    def to_side(cid: int) -> int | None:
-        if side is Side.X:
-            return cid if cid < g.x_count else None
-        return cid - g.x_count if cid >= g.x_count else None
-
-    last: dict[int, int] = {}
-    for pos, cid in enumerate(circuit):
-        v = to_side(cid)
-        if v is not None:
-            last[v] = pos
-
-    def to_other(cid: int) -> int:
-        return cid - g.x_count if side is Side.X else cid
-
-    successor: dict[int, int] = {}
-    witness: dict[int, int] = {}
-    for v, pos in last.items():
-        if v == root:
-            continue  # the root is the final vertex of the circuit
-        t = to_side(circuit[pos + 2])
-        assert t is not None  # circuit alternates sides
-        successor[v] = t
-        witness[v] = to_other(circuit[pos + 1])
     return SpineMap(side, root, successor, witness)
 
 
@@ -340,42 +343,57 @@ def _leaf_slack(g: BipartiteGraph, s: SpineMap) -> list[int]:
 
 def _order_tables(
     g: BipartiteGraph, side: Side, order: tuple[int, ...]
-) -> tuple[list[list[list[tuple[int, int]]]], list[int], int]:
+) -> tuple[list[list[Sequence[tuple[int, int]]]], list[list[tuple[int, int]]], list[int]]:
     """Crossing weights that each same-side order decision settles.
 
-    One pass over g.crossable_pairs.  Opposite-side pairs {lo < hi} are
-    numbered p = 0, 1, ... as first met.  Once side vertex x is ranked
-    left of z, the edge pairs between them settle on p a weight that
-    crosses when lo is left of hi and one that crosses when hi is left
-    of lo.  tables[x][z] lists (p, first minus second) for every p where
-    the two differ, so tables[z][x] holds the same pairs negated.
-    settles[d] is the total weight that order[d] settles against
-    order[0..d-1], whichever way round each pair goes.  Also returns the
-    number of opposite-side pairs.
+    One pass over g.crossable_pairs.  The opposite-side pair {lo < hi} has
+    the id p = lo * b + hi in a flat b x b table, where the walk keeps
+    c_lohi - c_hilo.  Take a crossable edge pair at side vertices x and z,
+    with z before x in order: when x is left of z it adds its weight to
+    c_lohi or to c_hilo, so it changes the table at p by some e = +-w,
+    and by -e when x is right of z.  Only this direction, a later vertex
+    against an earlier one, is built, because it is the only one the
+    walk reads:
+
+    - left[d] lists (p, sum of e) over the edge pairs of x = order[d]
+      with order[0..d-1], where that sum is not 0: the change when x
+      goes left of every placed vertex;
+    - moves[x][z] lists (p, -2 * e) per edge pair of x with z: the change
+      when x then moves right past z (an empty tuple if there is none);
+    - settles[d] is the total weight that order[d] settles against
+      order[0..d-1], whichever way round each pair goes.
     """
     a = len(order)
+    b = g.side_count(side.other)
     at = [0] * a
     for d, v in enumerate(order):
         at[v] = d
-    pair_index: dict[tuple[int, int], int] = {}
-    acc: dict[tuple[int, int, int], int] = {}
+    swap = side is Side.Y
     settles = [0] * a
-    for x, y, x2, y2, w in g.crossable_pairs:
-        s, t, s2, t2 = (x, y, x2, y2) if side is Side.X else (y, x, y2, x2)
-        if s > s2:
-            s, t, s2, t2 = s2, t2, s, t
-        p = pair_index.setdefault((t, t2) if t < t2 else (t2, t), len(pair_index))
-        # s left of s2: the edges cross iff t2 is left of t, which is "lo
-        # first" when t2 < t
-        key = (s, s2, p)
-        acc[key] = acc.get(key, 0) + (w if t2 < t else -w)
-        settles[max(at[s], at[s2])] += w
-    tables: list[list[list[tuple[int, int]]]] = [[[] for _ in range(a)] for _ in range(a)]
-    for (s, s2, p), e in acc.items():
-        if e:
-            tables[s][s2].append((p, e))
-            tables[s2][s].append((p, -e))
-    return tables, settles, len(pair_index)
+    moves: list[list[Sequence[tuple[int, int]]]] = [[()] * a for _ in range(a)]
+    sums: list[dict[int, int]] = [{} for _ in range(a)]
+    for x, y, z, yz, w in g.crossable_pairs:
+        if swap:
+            x, y, z, yz = y, x, yz, z
+        if at[x] < at[z]:
+            x, y, z, yz = z, yz, x, y
+        d = at[x]
+        settles[d] += w
+        # x left of z: the edges cross iff yz is left of y
+        if yz > y:
+            p = y * b + yz
+            w = -w
+        else:
+            p = yz * b + y
+        total = sums[d]
+        total[p] = total.get(p, 0) + w
+        row = moves[x]
+        if row[z]:
+            row[z].append((p, -2 * w))
+        else:
+            row[z] = [(p, -2 * w)]
+    left = [[(p, e) for p, e in total.items() if e] for total in sums]
+    return moves, left, settles
 
 
 def enumerate_candidates(
@@ -394,10 +412,10 @@ def enumerate_candidates(
     every layout it streams has a one-sided crossing bound of at most k.
 
     The walk builds relative orders depth-first: it keeps the placed
-    vertices as one left-to-right sequence and inserts order[d] (spine
-    order, parents first, so T(x) is placed before x) at each of the
-    d + 1 positions in turn.  An insertion survives two checks, both on
-    lower bounds that only grow as vertices are inserted (module
+    vertices as one left-to-right sequence and inserts x = order[d]
+    (spine order, parents first, so T(x) is placed before x) at each of
+    the d + 1 positions in turn.  An insertion survives two checks, both
+    on lower bounds that only grow as vertices are inserted (module
     docstring, steps 3 and 4):
 
     - the gap cost sum(max(0, between(x) - l(x))) is at most 4k, where
@@ -406,20 +424,25 @@ def enumerate_candidates(
       x's own term and 1 for each placed y whose pair (y, T(y)) it
       splits and whose between(y) already reaches l(y);
     - the one-sided bound is at most k.  Per opposite-side pair the walk
-      keeps c_uv - c_vu; inserting x adds tables[z][x] for each placed z
-      to its left and tables[x][z] for each z to its right, and the bound
-      is (settled weight - sum(|c_uv - c_vu|)) / 2.  Moving the insertion
-      point right past z swaps tables[x][z] for tables[z][x], so the
-      positions are tried left to right with one table update per step.
+      keeps c_uv - c_vu.  The placed vertices are order[0..d-1] whatever
+      their arrangement, so putting x left of all of them is one
+      precomputed row, left[d] of _order_tables; moving the insertion
+      point right past a placed z then applies moves[x][z].  The
+      positions are tried left to right with one row per step, and the
+      bound is (settled weight - sum(|c_uv - c_vu|)) / 2.  After the
+      last position the node takes its own updates back, so the table
+      is as its parent left it.
 
-    At depth a the sequence is the layout and both checks are exact, so
-    the stream is exactly the layouts with gap cost at most 4k and bound
-    at most k.  Reversal keeps both (module docstring, step 5), so
-    order[1] is inserted only right of the root, and each leaf is
-    streamed together with its reversal, which has order[1] left of the
-    root and is never walked.  Distinct walk nodes are distinct relative
-    orders, so each surviving relative order is entered once and the
-    stream has no duplicates.
+    The walk is a plain recursive function: each node is one call, and
+    a node at depth a appends its layout to one list, which is streamed
+    once the walk is done.  At depth a the sequence is the layout and
+    both checks are exact, so the stream is exactly the layouts with gap
+    cost at most 4k and bound at most k.  Reversal keeps both (module
+    docstring, step 5), so order[1] is inserted only right of the root,
+    and each leaf is streamed together with its reversal, which has
+    order[1] left of the root and is never walked.  Distinct walk nodes
+    are distinct relative orders, so each surviving relative order is
+    entered once and the stream has no duplicates.
 
     The walk has at most as many nodes as a walk that assigns absolute
     ranks (a root rank of at most (a - 1) / 2, then each vertex at some
@@ -437,15 +460,16 @@ def enumerate_candidates(
     guard is max_walk_nodes, which counts the nodes of the walk, leaves
     included, and so also bounds the stream: every layout streamed is a
     leaf of the walk or the reversal of one, so a stream holds at most
-    2 * max_walk_nodes layouts.  A node costs time linear in its depth
-    plus the table entries of the vertex it inserts (see Limits).
+    2 * max_walk_nodes layouts.  The walk raises before it streams
+    anything.  A node costs time linear in its depth plus the table
+    entries of the vertex it inserts (see Limits).
     """
     a = g.side_count(side)
     spine = build_spine(g, side, root=0)
     order = spine.decode_order
     successor = spine.successor
     slack = _leaf_slack(g, spine)
-    tables, settles, pairs = _order_tables(g, side, order)
+    moves, left, settles = _order_tables(g, side, order)
     cap = 4 * k
     # least[d]: the bound of order[0..d] is at most k iff sum(|c_uv - c_vu|)
     # reaches the weight they settle minus 2k
@@ -454,34 +478,38 @@ def enumerate_candidates(
     for w in settles:
         settled += w
         least.append(settled)
+    # (y, T(y), l(y)) for y = order[1], order[2], ...
+    spans = [(y, successor[y], slack[y]) for y in order[1:]]
     seq = [order[0]]  # the placed vertices, left to right
     where = [0] * a  # position in seq of each placed vertex
-    diff = [0] * pairs  # c_uv - c_vu per opposite-side pair u < v, as settled
+    diff = [0] * g.side_count(side.other) ** 2  # c_uv - c_vu at p = u * b + v, u < v
+    leaves: list[tuple[int, ...]] = []
+    max_nodes = limits.max_walk_nodes
     nodes = 0
 
-    def walk(depth: int, spent: int, spread: int) -> Iterator[tuple[int, ...]]:
+    def walk(depth: int, spent: int, spread: int) -> None:
         nonlocal nodes
         nodes += 1
-        if nodes > limits.max_walk_nodes:
+        if nodes > max_nodes:
             raise ResourceLimitError(
                 f"candidate walk on side {side.value} at k={k} exceeds "
-                f"max_walk_nodes={limits.max_walk_nodes}"
+                f"max_walk_nodes={max_nodes}"
             )
         for i, v in enumerate(seq):
             where[v] = i
         if depth == a:
-            yield tuple(where)
+            leaves.append(tuple(where))
             return
         x = order[depth]
-        row = tables[x]
+        row = moves[x]
         # step[i]: charge at position i minus charge at i - 1, where a
         # placed pair (y, T(y)) is charged when x lands strictly inside it
         step = [0] * (depth + 1)
-        for y in order[1:depth]:
-            lo, hi = where[y], where[successor[y]]
+        for y, ty, ly in spans[: depth - 1]:
+            lo, hi = where[y], where[ty]
             if lo > hi:
                 lo, hi = hi, lo
-            if hi - lo > slack[y]:  # between(y) >= l(y)
+            if hi - lo > ly:  # between(y) >= l(y)
                 step[lo + 1] += 1
                 step[hi + 1] -= 1
         t = where[successor[x]]
@@ -489,34 +517,55 @@ def enumerate_candidates(
         reach = cap - spent + free
         first = 1 if depth == 1 else max(0, t - reach)
         last = min(depth, t + 1 + reach)
-        saved = diff[:]
-        for j, z in enumerate(seq):  # x at position first
-            for p, e in tables[z][x] if j < first else row[z]:
+        for p, e in left[depth]:  # x left of every placed vertex
+            d0 = diff[p]
+            d1 = d0 + e
+            diff[p] = d1
+            spread += abs(d1) - abs(d0)
+        for z in seq[:first]:  # then right of seq[0..first-1]
+            for p, e in row[z]:
                 d0 = diff[p]
                 d1 = d0 + e
                 diff[p] = d1
-                spread += (d1 if d1 > 0 else -d1) - (d0 if d0 > 0 else -d0)
+                spread += abs(d1) - abs(d0)
         charge = sum(step[:first])
+        bar = least[depth]
         for i in range(first, last + 1):
             if i > first:
                 for p, e in row[seq[i - 1]]:  # that vertex moves to x's left
                     d0 = diff[p]
-                    d1 = d0 - 2 * e
+                    d1 = d0 + e
                     diff[p] = d1
-                    spread += (d1 if d1 > 0 else -d1) - (d0 if d0 > 0 else -d0)
+                    spread += abs(d1) - abs(d0)
             charge += step[i]
             gap = t - i if i <= t else i - t - 1
             cost = spent + charge + (gap - free if gap > free else 0)
-            if cost <= cap and spread >= least[depth]:
+            if cost <= cap and spread >= bar:
                 seq.insert(i, x)
-                yield from walk(depth + 1, cost, spread)
+                walk(depth + 1, cost, spread)
                 del seq[i]
-        diff[:] = saved
+        # take this node's updates back.  x right of every placed vertex
+        # is the negation of left[depth], so from x at last that is either
+        # undoing the moves past seq[0..last-1] and then left[depth], or
+        # the moves past seq[last..] and then minus left[depth]
+        if 2 * last <= depth:
+            for z in seq[:last]:
+                for p, e in row[z]:
+                    diff[p] -= e
+            for p, e in left[depth]:
+                diff[p] -= e
+        else:
+            for z in seq[last:]:
+                for p, e in row[z]:
+                    diff[p] += e
+            for p, e in left[depth]:
+                diff[p] += e
 
+    walk(1, 0, 0)
     top = a - 1
-    for found in walk(1, 0, 0):
+    for found in leaves:
         yield Layout(side, found)
-        yield Layout(side, tuple(top - r for r in found))
+        yield Layout(side, tuple([top - r for r in found]))
 
 
 def count_bound(a: int, k: int) -> int:

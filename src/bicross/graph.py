@@ -317,7 +317,8 @@ def sibling_merge(g: BipartiteGraph) -> MergeResult:
     its bipartite crossing number equals the input's: some optimal drawing
     keeps the leaves of each vertex consecutive, so collapsing them loses
     nothing, and a crossing with the weighted edge costs exactly what the
-    bundle of parallel leaf edges would.
+    bundle of parallel leaf edges would.  A graph with no sibling leaves
+    is returned as it is, with singleton groups.
     """
     x_deg = [len(nbrs) for nbrs in g.x_adj]
     y_deg = [len(nbrs) for nbrs in g.y_adj]
@@ -338,6 +339,12 @@ def sibling_merge(g: BipartiteGraph) -> MergeResult:
 
     x_redirect, x_rep_groups = leaf_groups(g.y_adj, x_deg)
     y_redirect, y_rep_groups = leaf_groups(g.x_adj, y_deg)
+    if not x_redirect and not y_redirect:  # no sibling leaves: nothing to merge
+        return MergeResult(
+            g,
+            tuple((x,) for x in range(g.x_count)),
+            tuple((y,) for y in range(g.y_count)),
+        )
 
     keep_x = [x for x in range(g.x_count) if x not in x_redirect]
     keep_y = [y for y in range(g.y_count) if y not in y_redirect]

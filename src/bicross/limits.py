@@ -33,15 +33,15 @@ class Limits:
             relative order of the vertices placed so far, and costs time
             linear in their number plus the crossing-table entries of the
             vertex it inserts.  On a 2-core x86_64 machine with Python
-            3.11 that is about 5 us per node on dense random graphs with
-            8-vertex sides at k = 20 (their walks end within about 6,000
-            nodes), 8.5 us on the 22-vertex side of C4 with a 40-edge
-            tail at k = 30 and 31 us on the 33-vertex side of C6 with a
-            60-edge tail at k = 20, so a walk that hits 2^19 nodes stops
-            after about 5-17 s.  It also bounds the candidate stream,
-            which holds at most two layouts per node (a walk leaf and its
-            reversal).  It is the walk's only bound: the budget may be
-            any size.
+            3.11 that is about 4.7 us per node on dense random graphs
+            with 8-vertex sides at k = 20 (their walks end within about
+            6,000 nodes), 5 us on the 22-vertex side of C4 with a
+            40-edge tail at k = 30 and 23-31 us on the 33-vertex side of
+            C6 with a 60-edge tail at k = 20, so a walk that hits 2^19
+            nodes stops after about 2.5-15 s.  It also bounds the
+            candidate stream, which holds at most two layouts per node
+            (a walk leaf and its reversal).  It is the walk's only
+            bound: the budget may be any size.
     """
 
     oracle_max_side: int = 8

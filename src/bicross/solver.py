@@ -437,9 +437,10 @@ def _pair_search(
     # only the vertex columns go to numpy: the products may overflow int64
     xi1, yi1, xi2, yi2 = np.array([p[:4] for p in table], dtype=np.intp).reshape(-1, 4).T
     w = np.asarray(wp, dtype=np.float64)
-    xmat = np.asarray(x_layouts, dtype=np.int64).reshape(len(x_layouts), -1)
-    ymat = np.asarray(y_layouts, dtype=np.int64).reshape(len(y_layouts), -1)
-    vt = np.sign(ymat[:, yi1] - ymat[:, yi2]).astype(np.float64).T
+    # ranks are small integers, so their float64 differences and signs are exact
+    xmat = np.asarray(x_layouts, dtype=np.float64).reshape(len(x_layouts), -1)
+    ymat = np.asarray(y_layouts, dtype=np.float64).reshape(len(y_layouts), -1)
+    vt = np.sign(ymat[:, yi1] - ymat[:, yi2]).T
     n_y = len(y_layouts)
 
     best = mass + 1  # above every clamped count
@@ -447,7 +448,7 @@ def _pair_search(
     evaluated = 0
     for start in range(0, len(x_layouts), _PAIR_CHUNK_ROWS):
         stop = min(start + _PAIR_CHUNK_ROWS, len(x_layouts))
-        u = np.sign(xmat[start:stop, xi1] - xmat[start:stop, xi2]).astype(np.float64)
+        u = np.sign(xmat[start:stop, xi1] - xmat[start:stop, xi2])
         counts = (mass - (u * w) @ vt) * 0.5
         flat = int(np.argmin(counts))  # first minimum in row-major = lex order
         evaluated += (stop - start) * n_y

@@ -39,7 +39,9 @@ from util import (
     one_sided_bound,
     random_connected_graph,
     random_sibling_free_graph,
+    reference_crossable_pairs,
     reference_crossings,
+    spine_by_last_visit,
     weighted_connected_graphs,
 )
 
@@ -89,6 +91,28 @@ class TestBuildSpine:
             for side, size in ((Side.X, a), (Side.Y, b)):
                 for root in range(size if size >= 2 else 0):
                     assert verify_spine(g, build_spine(g, side, root))
+
+    def test_matches_the_last_visit_rule(self):
+        # successor and witness, values and insertion order, against the
+        # plain rule in util over the same circuit: _leaf_slack reports
+        # sibling errors in witness order
+        rng = random.Random(181)
+        spines = 0
+        for _ in range(1000):
+            a, b, edges = random_connected_graph(
+                rng, max_n=rng.choice((6, 9, 12)), extra_edge_prob=rng.choice((0.0, 0.15, 0.4))
+            )
+            g = BipartiteGraph(a, b, tuple(edges))
+            for side in (Side.X, Side.Y):
+                offset = 0 if side is Side.X else a
+                for root in range(g.side_count(side) if g.side_count(side) >= 2 else 0):
+                    circuit = enumeration_mod._euler_circuit(g, offset + root)
+                    successor, witness = spine_by_last_visit(circuit, a, side is Side.X)
+                    s = build_spine(g, side, root)
+                    assert list(s.successor.items()) == list(successor.items()), (edges, side, root)
+                    assert list(s.witness.items()) == list(witness.items()), (edges, side, root)
+                    spines += 1
+        assert spines >= 4500
 
     def test_errors(self):
         with pytest.raises(GraphError, match="connected"):
@@ -326,6 +350,56 @@ class TestMirroredWalk:
         assert all(middle_root_layouts.values()), middle_root_layouts
 
 
+class TestOrderTables:
+    """The rows of _order_tables against the one-sided bound, without the walk.
+
+    Insert the vertices of a random order one at a time into a random
+    layout: a new vertex x = order[d] adds left[d], then moves[x][z] for
+    each earlier z that the layout puts left of x.  At every prefix the
+    settled weight and sum(|c_uv - c_vu|) of the table must give the
+    one-sided bound of the prefix, computed in util from the definition.
+    """
+
+    def test_rows_reproduce_the_one_sided_bound_on_every_prefix(self):
+        rng = random.Random(149)
+        graphs = prefixes = 0
+        while graphs < 300:
+            a, b, edges = random_connected_graph(
+                rng, max_n=10, extra_edge_prob=rng.choice((0.1, 0.3, 0.5)), min_n=4
+            )
+            if a < 2 or b < 2 or has_sibling_pair(a, b, edges):
+                continue
+            graphs += 1
+            edges = [(x, y, rng.randint(1, 3)) for x, y, _ in edges]
+            g = BipartiteGraph(a, b, tuple(edges))
+            for side in (Side.X, Side.Y):
+                size, other = g.side_count(side), g.side_count(side.other)
+                is_x = side is Side.X
+                order = tuple(rng.sample(range(size), size))
+                ranks = rng.sample(range(size), size)
+                moves, left, settles = enumeration_mod._order_tables(g, side, order)
+                diff = [0] * (other * other)
+                settled = 0
+                for d, x in enumerate(order):
+                    # only the rows against earlier vertices are built
+                    assert not any(moves[x][z] for z in order[d:]), (edges, side, order)
+                    for p, e in left[d]:
+                        diff[p] += e
+                    for z in order[:d]:
+                        if ranks[z] < ranks[x]:
+                            for p, e in moves[x][z]:
+                                diff[p] += e
+                    settled += settles[d]
+                    placed = set(order[: d + 1])
+                    sub = [edge for edge in edges if edge[0 if is_x else 1] in placed]
+                    assert settled == sum(w for *_, w in reference_crossable_pairs(sub))
+                    spread = sum(abs(v) for v in diff)
+                    assert (settled - spread) % 2 == 0
+                    assert (settled - spread) // 2 == one_sided_bound(sub, is_x, ranks)
+                    prefixes += 1
+        assert prefixes >= 2000
+
+
 class TestGapCheck:
     """With the one-sided bound switched off, the stream is exactly the
     layouts within the gap cost.
@@ -337,7 +411,7 @@ class TestGapCheck:
 
     def test_stream_is_exactly_the_layouts_within_the_gap_cost(self, monkeypatch):
         def no_bound(g, side, order):
-            return [[[] for _ in order] for _ in order], [0] * len(order), 0
+            return [[()] * len(order) for _ in order], [[] for _ in order], [0] * len(order)
 
         monkeypatch.setattr(enumeration_mod, "_order_tables", no_bound)
         cut = 0
@@ -404,23 +478,14 @@ class TestLeafAwareCost:
 def walk_nodes(g, side, k):
     """(walk nodes expanded, layouts streamed) for one enumeration.
 
-    A node is one call of the inner generator walk.  The profiler also
-    reports each resumption of a live generator as a call, so a frame is
-    counted when first seen and forgotten once it returns for good: walk
-    yields only tuples, so a return event carrying None is its end.
+    A node is one call of the inner recursive function walk.
     """
-    live: set[int] = set()
     nodes = 0
 
     def profile(frame, event, arg):
         nonlocal nodes
-        if frame.f_code.co_name != "walk":
-            return
-        if event == "call" and id(frame) not in live:
-            live.add(id(frame))
+        if event == "call" and frame.f_code.co_name == "walk":
             nodes += 1
-        elif event == "return" and arg is None:
-            live.discard(id(frame))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -455,18 +520,12 @@ class TestWalkNodes:
     def test_each_relative_order_is_entered_once(self, c, tail, side, k):
         a, b, edges = cycle_with_path(c, tail)
         g = BipartiteGraph(a, b, tuple(edges))
-        live: set[int] = set()
         entered = []
 
         def profile(frame, event, arg):
             # a node's sequence of placed vertices, read when its walk starts
-            if frame.f_code.co_name != "walk":
-                return
-            if event == "call" and id(frame) not in live:
-                live.add(id(frame))
+            if event == "call" and frame.f_code.co_name == "walk":
                 entered.append(tuple(frame.f_locals["seq"]))
-            elif event == "return" and arg is None:
-                live.discard(id(frame))
 
         previous = sys.getprofile()
         sys.setprofile(profile)

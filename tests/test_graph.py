@@ -24,6 +24,7 @@ from bicross import (
 )
 from util import (
     exhaustive_connected_graphs,
+    has_sibling_pair,
     inject_sibling_leaves,
     random_connected_graph,
     random_disconnected_graph,
@@ -323,6 +324,24 @@ class TestMerge:
         res = sibling_merge(star(5))
         assert res.x_groups == ((0,),)
         assert res.y_groups == ((0, 1, 2, 3, 4),)
+
+    def test_sibling_free_graph_is_returned_as_is(self):
+        rng = random.Random(41)
+        free = 0
+        for _ in range(200):
+            a, b, edges = random_connected_graph(rng, max_n=10, extra_edge_prob=0.1)
+            g = BipartiteGraph(a, b, tuple(edges))
+            res = sibling_merge(g)
+            if has_sibling_pair(a, b, edges):
+                assert res.graph is not g and res.graph.n < g.n
+                continue
+            free += 1
+            assert res.graph is g
+            assert res.x_groups == tuple((x,) for x in range(a))
+            assert res.y_groups == tuple((y,) for y in range(b))
+        assert free >= 50
+        g = c4()
+        assert sibling_merge(g).graph is g
 
     def test_idempotent_and_sibling_free(self):
         rng = random.Random(11)

@@ -276,6 +276,43 @@ def leaf_slack(edges, fixed_is_x: bool, successor, witness) -> dict[int, int]:
     return slack
 
 
+def spine_by_last_visit(circuit, x_count: int, fixed_is_x: bool):
+    """(successor, witness) of a spine by the plain last-visit rule.
+
+    circuit is a closed walk over combined ids (X vertex i -> i, Y vertex
+    j -> x_count + j) that starts and ends at the root, a fixed-side
+    vertex.  For every other fixed-side vertex v, successor[v] is the
+    fixed-side vertex two steps after the last visit of v and witness[v]
+    the vertex in between, both in their side's own indexing.  Both maps
+    list the vertices in the order of their first visit.
+    """
+
+    def own(cid):  # index on the fixed side, or None for the other side
+        if fixed_is_x:
+            return cid if cid < x_count else None
+        return cid - x_count if cid >= x_count else None
+
+    def other(cid):
+        return cid - x_count if fixed_is_x else cid
+
+    root = own(circuit[0])
+    first_seen: list[int] = []
+    last: dict[int, int] = {}
+    for pos, cid in enumerate(circuit):
+        v = own(cid)
+        if v is None:
+            continue
+        if v not in last:
+            first_seen.append(v)
+        last[v] = pos
+    successor, witness = {}, {}
+    for v in first_seen:
+        if v != root:
+            successor[v] = own(circuit[last[v] + 2])
+            witness[v] = other(circuit[last[v] + 1])
+    return successor, witness
+
+
 def leaf_aware_cost(ranks, successor, slack) -> int:
     """sum over non-root x of max(0, gap(x) - l(x)), gap(x) = |rank(x) - rank(T(x))| - 1."""
     return sum(
