@@ -82,6 +82,7 @@ solver directly; the machinery here requires a side of 2 or more.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -396,6 +397,28 @@ def _order_tables(
     return moves, left, settles
 
 
+def check_depth(side: Side, size: int) -> None:
+    """Raise ResourceLimitError unless a search one frame deep per vertex fits.
+
+    The candidate walk and the solver's second-side search each recurse
+    once per vertex of the side they order, on top of the frames of
+    their callers.  This counts those frames and raises, naming the side
+    and its size, when size more would pass sys.getrecursionlimit().
+    It runs before any table of the search is built.
+    """
+    depth = 0
+    frame = sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    if depth + size + 4 > limit:
+        raise ResourceLimitError(
+            f"side {side.value} has {size} vertices: a search one frame deep per "
+            f"vertex would pass the recursion limit {limit}"
+        )
+
+
 def enumerate_candidates(
     g: BipartiteGraph,
     side: Side,
@@ -462,9 +485,12 @@ def enumerate_candidates(
     leaf of the walk or the reversal of one, so a stream holds at most
     2 * max_walk_nodes layouts.  The walk raises before it streams
     anything.  A node costs time linear in its depth plus the table
-    entries of the vertex it inserts (see Limits).
+    entries of the vertex it inserts (see Limits).  The walk recurses
+    once per vertex, so a side too deep for the recursion limit raises
+    ResourceLimitError at once (check_depth), before any table is built.
     """
     a = g.side_count(side)
+    check_depth(side, a)
     spine = build_spine(g, side, root=0)
     order = spine.decode_order
     successor = spine.successor

@@ -17,31 +17,37 @@ class ResourceLimitError(RuntimeError):
 class Limits:
     """Three ceilings on the solver's work, one per kind of work.
 
-    oracle_max_side bounds the exhaustive scans, max_pair_evaluations the
-    candidate-pair search (and the layout pairs a scan would visit), and
-    max_walk_nodes the candidate walk.  Exceeding one raises
-    ResourceLimitError.
+    oracle_max_side bounds the exhaustive scans by side, max_pair_evaluations
+    by the layout pairs they would visit, and max_walk_nodes the budgeted
+    search: the candidate walk and the second-side searches.  Exceeding
+    one raises ResourceLimitError.
 
     Attributes:
         oracle_max_side: largest per-side vertex count the exhaustive
             scans (the brute-force oracle and the census) will accept.
-        max_pair_evaluations: cap on candidate-pair crossing evaluations
-            in a single component search, and on the layout pairs an
-            exhaustive scan (oracle or census) would visit.
+        max_pair_evaluations: cap on the layout pairs an exhaustive scan
+            (oracle or census) would visit.
         max_walk_nodes: cap on the nodes one candidate walk (one side at
-            one budget) visits, which bounds its time.  A node is one
-            relative order of the vertices placed so far, and costs time
-            linear in their number plus the crossing-table entries of the
-            vertex it inserts.  On a 2-core x86_64 machine with Python
-            3.11 that is about 4.7 us per node on dense random graphs
-            with 8-vertex sides at k = 20 (their walks end within about
-            6,000 nodes), 5 us on the 22-vertex side of C4 with a
-            40-edge tail at k = 30 and 23-31 us on the 33-vertex side of
-            C6 with a 60-edge tail at k = 20, so a walk that hits 2^19
-            nodes stops after about 2.5-15 s.  It also bounds the
-            candidate stream, which holds at most two layouts per node
-            (a walk leaf and its reversal).  It is the walk's only
-            bound: the budget may be any size.
+            one budget) visits, which bounds its time, and separately on
+            the nodes of the second-side searches at one budget, summed
+            over the candidates.  A walk node is one relative order of
+            the vertices placed so far, and costs time linear in their
+            number plus the crossing-table entries of the vertex it
+            inserts.  On a 2-core x86_64 machine with Python 3.11 that is
+            about 4.7 us per node on dense random graphs with 8-vertex
+            sides at k = 20 (their walks end within about 6,000 nodes),
+            5 us on the 22-vertex side of C4 with a 40-edge tail at
+            k = 30 and 23-31 us on the 33-vertex side of C6 with a
+            60-edge tail at k = 20, so a walk that hits 2^19 nodes stops
+            after about 2.5-15 s.  It also bounds the candidate stream,
+            which holds at most two layouts per node (a walk leaf and its
+            reversal).  A second-side search node places one vertex, in
+            time linear in the side's size.  The cap is the search's only
+            bound: the budget may be any size.  Only the smaller side is
+            walked, so a huge budget costs walk nodes on that side alone:
+            C10 with 30 leaves on each X vertex walks its 5 X vertices at
+            the identity drawing's count 607 and answers at k = 10^6
+            within 2^10 nodes.
     """
 
     oracle_max_side: int = 8

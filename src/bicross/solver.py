@@ -6,45 +6,38 @@ already exceeds the budget (caterpillars are exactly the graphs with
 bcr 0, so every other component needs a crossing).  Otherwise, for each
 budget t searched, cut every pendant path to 2t + 2 edges (the kernel of
 bicross.graph._pendant_path_kernel, whose optimum is the merged graph's
-whenever that is at most t) and search the cross product of the
-enumerated candidate layouts of the kernel for both sides.  The winning
-rank pair is lifted in one step to vertex orders of the component: an
-uncrossed ladder regrows each cut path, and then each merged vertex is
-replaced by its leaves.  The orders of all components become the one
-Drawing of the solve, which is recounted before it is returned.  The
-budget handed to the enumeration is first capped at the crossing count
-of the identity drawing, which the optimum cannot exceed.
-The candidate streams are complete for drawings within budget: each holds
-every layout of a drawing with at most that many crossings, and only
-layouts whose one-sided crossing bound is within budget (see
-bicross.enumeration).  So the minimum over candidate pairs is the exact
-crossing number of the kernel whenever that number is within budget, the
-lexicographically first optimal pair is the same as over all layout pairs
-of the kernel, and an empty stream proves that the optimum exceeds the
-budget.  Work is counted in one record, SolveStats: the counts of each
-search add up over the budgets of a component, then over the components.
+whenever that is at most t), enumerate the candidate layouts of the
+kernel's smaller side (X on a tie), and for each candidate solve the
+other side exactly.  The winning rank pair is lifted in one step to
+vertex orders of the component: an uncrossed ladder regrows each cut
+path, and then each merged vertex is replaced by its leaves.  The orders
+of all components become the one Drawing of the solve, which is
+recounted before it is returned.  The budget handed to the enumeration
+is first capped at the crossing count of the identity drawing, which
+the optimum cannot exceed.  Work is counted in one record, SolveStats:
+the counts of each search add up over the budgets of a component, then
+over the components.
 
-The cross-product search is vectorized: for every unordered edge pair
-that can cross (distinct endpoints on both sides), a layout induces a
-sign (+1/-1) for the rank order of the two endpoints on its layer, and
-the pair crosses exactly when the two layers disagree.  With U and V the
-per-side sign matrices and w the pairwise weight products, the count for
-candidate pair (i, j) is (sum(w) - (U_i * w) . V_j) / 2, so a whole block
-of counts is one matrix product.  Pairs and products are the kernel's
-cached crossable_pairs, the table both walks' one-sided bound reads too.
-
-The products are exact in float64 because each weight product is first
-clamped to budget + 1, in Python integers.  A pair of candidates whose
-true count is at most the budget has no crossing term above the budget,
-so its clamped count equals its true count; any other pair either keeps
-its true count or carries a clamped term of budget + 1, so its clamped
-count also exceeds the budget.  The lexicographically first minimum is
-therefore unchanged whenever it fits the budget, and the early exit at
-the lower bound (never above the budget) fires in the same chunk.  All
-partial sums stay within the clamped mass, which is checked to be below
-2^53.  The budget searched is at most the identity drawing's crossing
-count, which huge weights make huge, so the check can fire under the
-default Limits: the search then raises ResourceLimitError.
+The search is complete.  The candidate stream of the first side holds
+the layout of every drawing with at most budget crossings (see
+bicross.enumeration), so an empty stream proves that the optimum exceeds
+the budget.  Once a first-side layout is fixed, the best order of the
+other side is one-sided crossing minimization (Juenger and Mutzel 1997;
+Dujmovic, Fernau and Kaufmann 2008), which _best_second_order solves
+exactly by branch and bound: it appends the other side's vertices left
+to right, counts every pair with a placed vertex exactly and every other
+pair at min(c_uv, c_vu), and cuts a branch whose count cannot beat the
+incumbent.  Both counts only grow along a branch and are exact at a
+leaf, so no order that beats the incumbent is cut.  A drawing within
+budget has its first-side layout in the stream, and its other layout is
+an order of the other side that passes every cut until a better pair is
+found.  So the minimum over the candidates is the exact crossing number
+of the kernel whenever that number is within budget.  The incumbent
+order keeps the lexicographically first optimal (X ranks, Y ranks) pair:
+with X walked first, the candidates run in sorted order and a later one
+must do strictly better; with Y walked first, a later candidate also
+wins a tie when its best X ranks come first.  Counts are Python
+integers, exact for every weight.
 """
 
 from __future__ import annotations
@@ -53,8 +46,6 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
-import numpy as np
-
 from .drawing import (
     Drawing,
     crossing_number_fast,
@@ -62,7 +53,7 @@ from .drawing import (
     identity_drawing,
     layout_from_sequence,
 )
-from .enumeration import count_bound, enumerate_candidates
+from .enumeration import check_depth, count_bound, enumerate_candidates
 from .graph import (
     BipartiteGraph,
     GraphComponent,
@@ -78,7 +69,6 @@ from .graph import (
 )
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 
-_PAIR_CHUNK_ROWS = 2048
 K_MAX_DEFAULT = 32  # bcr_exact's k_max when none is given
 
 
@@ -92,10 +82,14 @@ class SolveStats:
 
     components: connected components of the graph, isolated vertices
         included (0 in the counts of a search or a component).
-    candidates_x, candidates_y: candidate layouts streamed per side.
-    pairs_evaluated: candidate pairs the pair search counted.
-    pruned: candidate pairs the pair search skipped by its early exit at
-        the lower bound; it does not count branches cut in the walk.
+    candidates_x, candidates_y: candidate layouts streamed by the walk of
+        the side walked first, the smaller side of the kernel (X on a
+        tie); the other side's count reads 0 for that search.
+    pairs_evaluated: second-side searches run, one per first-side
+        candidate that was not skipped.
+    pruned: first-side candidates skipped because the incumbent already
+        met the lower bound; it does not count branches cut in a walk
+        or a second-side search.
     kernel_edges: per component that reached enumeration, the edge count
         of the last pendant-path kernel searched, summed.  Every kernel
         has at least 4 edges, so it is positive iff an enumeration ran.
@@ -401,62 +395,112 @@ def _compose_drawing(
     )
 
 
-# -- candidate-pair search ---------------------------------------------------
+# -- second-side search ------------------------------------------------------
 
 
-def _pair_search(
-    g: BipartiteGraph,
-    x_layouts: list[tuple[int, ...]],
-    y_layouts: list[tuple[int, ...]],
-    exit_at: int,
-    budget: int,
-) -> tuple[int, int, int, int]:
-    """Minimum crossing count over the candidate cross product, within budget.
+def _best_second_order(
+    h: BipartiteGraph,
+    side: Side,
+    fixed: tuple[int, ...],
+    bar: tuple[int, tuple[int, ...]],
+    limits: Limits,
+    spent: int,
+) -> tuple[tuple[int, tuple[int, ...]] | None, int]:
+    """The best ranks of side against the fixed ranks of the other side, if they beat bar.
 
-    Returns (best, best_x_index, best_y_index, pairs_evaluated).  When the
-    minimum is at most budget, best is that minimum and the index pair is
-    the lexicographically first attaining it; otherwise best is some value
-    above budget (the counts are clamped, see the module docstring).  The
-    candidate lists must be sorted and non-empty, and exit_at, a proven
-    lower bound, at most budget.  X candidates are evaluated in chunks of
-    _PAIR_CHUNK_ROWS, one after another on the calling thread (the threads
-    keyword of bcr_decide and bcr_exact is ignored: a thread pool measured
-    no faster), and the search stops after the first chunk that brings the
-    minimum down to exit_at: enumeration order is row-major over the
-    sorted lists, so that hit is also the tie-break winner.  The pairs
-    and products are g.crossable_pairs.
+    Returns (found, spent).  found is the least (crossing count, ranks)
+    pair, compared as a tuple, over the layouts of side whose pair with
+    fixed is below bar, or None when no layout gets below it; bar =
+    (c, ()) asks for a count below c.  spent is the count passed in plus
+    the nodes of this search, and a search that takes it past
+    limits.max_walk_nodes raises ResourceLimitError.
+
+    For u, v on side let c_uv be the weight of the edge pairs of
+    h.crossable_pairs that cross when u is left of v; each such pair
+    crosses in exactly one of the two orders.  The search appends the
+    vertices left to right.  A placed vertex is left of every unplaced
+    one, so with the pairs inside the unplaced set counted at
+    min(c_uv, c_vu), placing v adds the excess max(0, c_vu - c_uv) over
+    every unplaced u.  The count so far plus the sum of those minima is
+    thus a lower bound on every completion that only grows along a
+    branch and is exact at a leaf.  A child is entered only if that
+    bound is below bar[0], or equal to it with a rank prefix that can
+    still come before bar[1]; bar tightens to each leaf found.  Children
+    are tried cheapest first, then by vertex.  Nothing outlives the call.
     """
-    table = g.crossable_pairs
-    wp = [min(w, budget + 1) for *_, w in table]
-    mass = sum(wp)
-    if mass >= 1 << 53:
-        raise ResourceLimitError(
-            f"candidate-pair search: weight mass {mass}, clamped at budget + 1 = "
-            f"{budget + 1}, reaches 2^53; use a smaller k or smaller edge weights"
-        )
-    # only the vertex columns go to numpy: the products may overflow int64
-    xi1, yi1, xi2, yi2 = np.array([p[:4] for p in table], dtype=np.intp).reshape(-1, 4).T
-    w = np.asarray(wp, dtype=np.float64)
-    # ranks are small integers, so their float64 differences and signs are exact
-    xmat = np.asarray(x_layouts, dtype=np.float64).reshape(len(x_layouts), -1)
-    ymat = np.asarray(y_layouts, dtype=np.float64).reshape(len(y_layouts), -1)
-    vt = np.sign(ymat[:, yi1] - ymat[:, yi2]).T
-    n_y = len(y_layouts)
+    n = h.side_count(side)
+    diff = [0] * (n * n)  # c_uv - c_vu at p = u * n + v, u < v
+    total = 0
+    swap = side is Side.X
+    for x, y, z, yz, w in h.crossable_pairs:
+        if swap:
+            x, y, z, yz = y, x, yz, z
+        total += w
+        # y left of yz crosses iff fixed has x right of z
+        if fixed[x] < fixed[z]:
+            w = -w
+        if y < yz:
+            diff[y * n + yz] += w
+        else:
+            diff[yz * n + y] -= w
+    # rows[v] lists (u, e) where u left of v costs e over the cheaper
+    # order of the two; out[u] sums what placing u next adds against the
+    # unplaced vertices, and base is the sum of min(c_uv, c_vu)
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    out = [0] * n
+    excess = 0
+    for p, d in enumerate(diff):
+        if d:
+            u, v = divmod(p, n)
+            if d < 0:
+                u, v, d = v, u, -d
+            rows[v].append((u, d))
+            out[u] += d
+            excess += d
+    base = (total - excess) // 2
+    pos = [-1] * n  # rank of each placed vertex
+    cap, beat = bar
+    found = None
+    max_nodes = limits.max_walk_nodes
 
-    best = mass + 1  # above every clamped count
-    best_flat = 0
-    evaluated = 0
-    for start in range(0, len(x_layouts), _PAIR_CHUNK_ROWS):
-        stop = min(start + _PAIR_CHUNK_ROWS, len(x_layouts))
-        u = np.sign(xmat[start:stop, xi1] - xmat[start:stop, xi2])
-        counts = (mass - (u * w) @ vt) * 0.5
-        flat = int(np.argmin(counts))  # first minimum in row-major = lex order
-        evaluated += (stop - start) * n_y
-        if counts.flat[flat] < best:
-            best, best_flat = int(counts.flat[flat]), start * n_y + flat
-        if best <= exit_at:
-            break
-    return best, best_flat // n_y, best_flat % n_y, evaluated
+    def behind(d: int) -> bool:
+        """Whether no completion of the d placed vertices has ranks before beat."""
+        for v, r in enumerate(pos):
+            if r < 0:  # unplaced: its rank is at least d
+                return beat[v] < d
+            if r != beat[v]:
+                return r > beat[v]
+        return True
+
+    def place(d: int, cost: int, free: list[int]) -> None:
+        nonlocal spent, cap, beat, found
+        spent += 1
+        if spent > max_nodes:
+            raise ResourceLimitError(
+                f"second-side search on side {side.value} exceeds "
+                f"max_walk_nodes={max_nodes}"
+            )
+        if d == n:  # entered below bar: at a leaf both cuts are exact
+            cap, beat = found = (cost, tuple(pos))
+            return
+        for v in sorted(free, key=out.__getitem__):
+            bound = cost + out[v]
+            if bound > cap:
+                break
+            pos[v] = d
+            if bound < cap or beat and not behind(d + 1):
+                # every unplaced u now lies right of v; the out of a
+                # placed u is never read below this node
+                row = rows[v]
+                for u, e in row:
+                    out[u] -= e
+                place(d + 1, bound, [u for u in free if u != v])
+                for u, e in row:
+                    out[u] += e
+            pos[v] = -1
+
+    place(0, base, list(range(n)))
+    return found, spent
 
 
 # -- per-component pipeline ---------------------------------------------------
@@ -465,32 +509,40 @@ def _pair_search(
 def _search(
     h: BipartiteGraph, budget: int, lb: int, limits: Limits
 ) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]] | None, SolveStats]:
-    """Enumerate both sides of h within budget and search their cross product.
+    """Walk the smaller side of h within budget and solve the other side per candidate.
 
     Returns (best, ranks, stats): ranks is the lexicographically first
     (X ranks, Y ranks) pair of minimum count best if best <= budget, else
-    None.  Y is
-    enumerated only when the X stream is non-empty: an empty X stream
-    already proves the optimum exceeds the budget.
+    None.  The smaller side, X on a tie, is walked first; an empty stream
+    already proves the optimum exceeds the budget.  Its candidates are
+    taken in sorted order, each with one _best_second_order search, whose
+    nodes add up against limits.max_walk_nodes.  With X first a later
+    candidate must beat the incumbent count, so the loop stops once that
+    count meets the lower bound lb; with Y first it may also tie the
+    count with X ranks that come first (see the module docstring).
     """
-    x_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.X, budget, limits))
-    if not x_layouts:
-        return budget + 1, None, _NO_WORK
-    y_layouts = sorted(l.ranks for l in enumerate_candidates(h, Side.Y, budget, limits))
-    if not y_layouts:
-        return budget + 1, None, SolveStats(0, len(x_layouts), 0, 0, 0, 0)
-    pairs_total = len(x_layouts) * len(y_layouts)
-    if pairs_total > limits.max_pair_evaluations:
-        raise ResourceLimitError(
-            f"candidate-pair search: {pairs_total} pairs exceeds "
-            f"max_pair_evaluations={limits.max_pair_evaluations}"
-        )
-    best, bi, bj, evaluated = _pair_search(h, x_layouts, y_layouts, lb, budget)
-    pruned = pairs_total - evaluated
-    stats = SolveStats(0, len(x_layouts), len(y_layouts), evaluated, pruned, 0)
-    if best > budget:
-        return best, None, stats
-    return best, (x_layouts[bi], y_layouts[bj]), stats
+    first = Side.Y if h.y_count < h.x_count else Side.X
+    second = first.other
+    check_depth(second, h.side_count(second))
+    layouts = sorted(l.ranks for l in enumerate_candidates(h, first, budget, limits))
+    best = budget + 1
+    pair = None
+    spent = searches = 0
+    for fixed in layouts:
+        if first is Side.X:
+            if best == lb:
+                break
+            bar = (best, ())
+        else:
+            bar = (best, pair[0]) if pair else (best, ())
+        searches += 1
+        found, spent = _best_second_order(h, second, fixed, bar, limits, spent)
+        if found is not None:
+            best, ranks = found
+            pair = (fixed, ranks) if first is Side.X else (ranks, fixed)
+    walked = (len(layouts), 0) if first is Side.X else (0, len(layouts))
+    stats = SolveStats(0, *walked, searches, len(layouts) - searches, 0)
+    return best, pair, stats
 
 
 def _solve_component(
@@ -505,10 +557,11 @@ def _solve_component(
     into the one witness of the solve.
     budgets is the ascending run lo..hi to try: one budget for a decision
     (lo = hi), the whole ascent for an exact solve (lo = 0).  The search
-    stops at the first budget whose best candidate pair fits it; the
-    streams hold every drawing within that budget, so that pair's count
-    is the optimum.  The set-up below runs once per call; only the
-    pendant-path kernel, enumeration and pair search repeat per budget.
+    stops at the first budget whose best pair fits it; the search is
+    complete for drawings within that budget, so that pair's count is
+    the optimum.  The set-up below runs once per call; only the
+    pendant-path kernel, enumeration and second-side searches repeat
+    per budget.
     stats adds up the counts of every search, plus the edge count of the
     last kernel searched; it is all zeros when no search ran.
 
@@ -636,7 +689,7 @@ def bcr_decide(
     sequential allocation is exact: the answer is yes iff the summed
     component optima fit in k, and then the optimum and a composite
     witness are reported.  threads is accepted for compatibility and has
-    no effect: the pair search runs on the calling thread.
+    no effect: the search runs on the calling thread.
     """
     if k < 0:
         raise ValueError("crossing budget must be non-negative")

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,7 @@ from util import (
     random_caterpillar,
     random_connected_graph,
     reference_bcr,
+    reference_crossings,
     scan_bcr,
     weighted_connected_graphs,
     with_pendant_path,
@@ -402,12 +404,65 @@ class TestLargeBudgets:
         assert bcr_exact(g, 200).optimum == 144
 
     def test_huge_budget_stops_at_the_walk_node_cap(self):
-        # the search runs at the identity drawing's count, 607, not at 10^6
-        with pytest.raises(ResourceLimitError, match="k=607 exceeds max_walk_nodes=1000"):
-            bcr_decide(c10_hub(), 10**6, Limits(max_walk_nodes=1000))
+        # the search runs at the identity drawing's count, 607, not at 10^6;
+        # the X walk there has 77 nodes, and the second-side searches add
+        # theirs to a count of their own
+        with pytest.raises(ResourceLimitError, match="k=607 exceeds max_walk_nodes=50"):
+            bcr_decide(c10_hub(), 10**6, Limits(max_walk_nodes=50))
+        with pytest.raises(ResourceLimitError, match="side y exceeds max_walk_nodes=100"):
+            bcr_decide(c10_hub(), 10**6, Limits(max_walk_nodes=100))
+
+    def test_c10_hub_answers_at_a_huge_budget(self):
+        # the merged hub has 5 X and 10 Y vertices: all 120 X layouts fit
+        # at 607, and each Y order is solved exactly, within 2^10 nodes
+        report = bcr_decide(c10_hub(), 10**6, Limits(max_walk_nodes=1 << 10))
+        assert (report.decision, report.optimum) == ("yes", 94)
+        assert report.witness == bcr_decide(c10_hub(), 94).witness
 
     def test_c10_hub_optimum(self):
         assert bcr_decide(c10_hub(), 127).optimum == 94
+
+
+def c4_leafy_path(length):
+    """C4 with a path of length edges hung on x0 and one leaf on every path vertex."""
+    edges = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    x = y = 2
+    on_x, prev = True, 0
+    for _ in range(length):
+        if on_x:  # prev is an X vertex: the path goes on to a new Y vertex
+            edges += [(prev, y), (x, y)]  # and that vertex gets an X leaf
+            prev, y, x = y, y + 1, x + 1
+        else:
+            edges += [(x, prev), (x, y)]
+            prev, x, y = x, x + 1, y + 1
+        on_x = not on_x
+    return build_graph(x, y, edges)
+
+
+class TestRecursionDepth:
+    """A side too deep for the recursion limit raises before any table is built."""
+
+    def test_deep_side_raises_a_resource_error(self):
+        g = c4_leafy_path(1000)
+        assert (g.x_count, g.y_count) == (1002, 1002)
+        with pytest.raises(ResourceLimitError, match="side x has 1002 vertices"):
+            list(enumerate_candidates(g, Side.X, 1))
+        with pytest.raises(ResourceLimitError, match="side y has 1002 vertices"):
+            bcr_decide(g, 1)
+        # neither built the m^2 table of crossable edge pairs
+        assert "crossable_pairs" not in vars(g)
+
+    def test_deep_second_side_raises_before_the_walk(self):
+        # K_{2,1000}: the X walk would fit, but the 1,000 Y vertices it
+        # leaves to the second-side search would not
+        g = build_graph(2, 1000, [(x, y) for x in range(2) for y in range(1000)])
+        with pytest.raises(ResourceLimitError, match="side y has 1000 vertices"):
+            bcr_decide(g, 10**6)
+        assert "crossable_pairs" not in vars(g)
+
+    def test_shallow_side_answers(self):
+        g = c4_leafy_path(40)
+        assert bcr_decide(g, 1).optimum == 1
 
 
 class TestExact:
@@ -631,10 +686,7 @@ class TestExact:
         assert single.witness == multi.witness
         assert single.stats == multi.stats
 
-    def test_stats_do_not_depend_on_threads(self, monkeypatch):
-        # one X candidate per chunk, so the early exit can stop the search
-        # after any chunk
-        monkeypatch.setattr(solver_mod, "_PAIR_CHUNK_ROWS", 1)
+    def test_stats_do_not_depend_on_threads(self):
         c4_tail = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]
         graphs = [
             (build_graph(4, 5, c4_tail), 1),
@@ -675,8 +727,14 @@ class TestExact:
                 assert report.decision == "no"
 
 
-class TestSkippedYWalk:
-    """Y is enumerated only when the X stream has candidates."""
+def c8_leaf():
+    """C8 with one X leaf on y0: sides 5 and 4, bcr 3."""
+    edges = [(i, i) for i in range(4)] + [((i + 1) % 4, i) for i in range(4)]
+    return build_graph(5, 4, edges + [(4, 0)])
+
+
+class TestSmallerSideFirst:
+    """Only the kernel's smaller side is walked, X on a tie."""
 
     def spy(self, monkeypatch):
         sides = []
@@ -689,25 +747,41 @@ class TestSkippedYWalk:
         monkeypatch.setattr(solver_mod, "enumerate_candidates", spying)
         return sides
 
-    def test_empty_x_stream_skips_y(self, monkeypatch):
+    def test_empty_first_stream_proves_no(self, monkeypatch):
         sides = self.spy(monkeypatch)
-        # C12 has crossing number 5: at k = 4 no X layout survives the bound
+        # C12 has crossing number 5 and sides of 6: at k = 4 no X layout
+        # survives the bound
         report = bcr_decide(c12(), 4)
         assert sides == [Side.X]
         assert (report.decision, report.optimum, report.witness) == ("no", None, None)
         assert (report.stats.candidates_x, report.stats.candidates_y) == (0, 0)
+        assert report.stats.pairs_evaluated == 0
         sides.clear()
         # the ascent from the lower bound 1 finds X candidates only at 5
         assert bcr_exact(c12(), 8).optimum == 5
-        assert sides == [Side.X] * 5 + [Side.Y]
+        assert sides == [Side.X] * 5
+        sides.clear()
+        # Y is the smaller side of C8 with a leaf, and its stream is empty below 3
+        report = bcr_decide(c8_leaf(), 2)
+        assert sides == [Side.Y]
+        assert (report.decision, report.stats.candidates_y) == ("no", 0)
 
-    def test_yes_enumerates_both_sides(self, monkeypatch):
+    def test_only_the_smaller_side_is_walked(self, monkeypatch):
         sides = self.spy(monkeypatch)
+        g = c8_leaf()
+        report = bcr_decide(g, 3)
+        assert sides == [Side.Y]
+        assert (report.decision, report.optimum) == ("yes", 3)
+        assert report.stats.candidates_x == 0
+        # one second-side search per Y candidate: a tie may still win there
+        assert report.stats.pairs_evaluated == report.stats.candidates_y > 0
+        assert report.stats.pruned == 0
+        assert report.witness == bcr_bruteforce(g)[1]
+        sides.clear()
         c8 = build_graph(4, 4, [(i, i) for i in range(4)] + [((i + 1) % 4, i) for i in range(4)])
         report = bcr_decide(c8, 3)
-        assert sides == [Side.X, Side.Y]
-        assert (report.decision, report.optimum) == ("yes", 3)
-        assert report.stats.candidates_y > 0
+        assert sides == [Side.X]
+        assert report.stats.candidates_y == 0
         assert report.witness == bcr_bruteforce(c8)[1]
 
 
@@ -717,24 +791,23 @@ def heavy_c4(w):
 
 
 @st.composite
-def pair_search_cases(draw):
-    """A small weighted graph with sorted, non-empty candidate lists per side."""
-    a = draw(st.integers(1, 4))
-    b = draw(st.integers(1, 4))
+def second_side_cases(draw):
+    """A weighted graph with sides of at most 5, a side to order, a fixed
+    layout of the other side and a bar (count, ranks) to beat."""
+    a = draw(st.integers(1, 5))
+    b = draw(st.integers(1, 5))
     cells = [(x, y) for x in range(a) for y in range(b)]
     chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
     weight = st.one_of(st.integers(1, 3), st.integers(1, 1 << 62))
-    g = build_graph(a, b, [(x, y, draw(weight)) for x, y in chosen])
-
-    def layouts(n):
-        perms = st.permutations(range(n)).map(tuple)
-        return sorted(draw(st.lists(perms, min_size=1, max_size=8, unique=True)))
-
-    return g, layouts(a), layouts(b)
+    edges = [(x, y, draw(weight)) for x, y in chosen]
+    side = draw(st.sampled_from([Side.X, Side.Y]))
+    n, m = (a, b) if side is Side.X else (b, a)
+    fixed = tuple(draw(st.permutations(range(m))))
+    return a, b, edges, side, fixed, n
 
 
 class TestPairSearch:
-    """One float64 path, exact for every weight by clamping at budget + 1."""
+    """The exact second-side search, in Python integers for every weight."""
 
     def test_weight_magnitude_does_not_change_the_result(self):
         results = set()
@@ -746,67 +819,42 @@ class TestPairSearch:
         assert len(results) == 1
         decision, optimum, _, stats = results.pop()
         assert (decision, optimum) == ("yes", 1)
-        assert (stats.pairs_evaluated, stats.pruned) == (4, 0)
+        # the first of the two X candidates meets the lower bound 1
+        assert (stats.candidates_x, stats.pairs_evaluated, stats.pruned) == (2, 1, 1)
 
-    def test_clamped_mass_past_2_53_raises_in_the_pair_search(self):
+    def test_huge_weights_are_exact(self):
         g = heavy_c4(1 << 60)
         k = 1 << 60
-        # the default Limits: enumeration at any budget is not what raises
-        for side in (Side.X, Side.Y):
-            assert list(enumerate_candidates(g, side, k))
-        with pytest.raises(ResourceLimitError, match="candidate-pair search"):
-            bcr_decide(g, k)
+        for report in (bcr_decide(g, k), bcr_exact(g, k)):
+            assert (report.decision, report.optimum) == ("yes", 1)
+            assert crossing_number_fast(report.witness) == 1
 
     @settings(max_examples=300, deadline=None)
-    @given(case=pair_search_cases(), data=st.data())
+    @given(case=second_side_cases(), data=st.data())
     def test_matches_brute_force(self, case, data):
-        g, xs, ys = case
-        counts = [
-            [crossing_number_fast(drawing_from_ranks(g, xr, yr)) for yr in ys] for xr in xs
-        ]
-        true_best, bi, bj = min((c, i, j) for i, row in enumerate(counts) for j, c in enumerate(row))
-        budget = data.draw(
+        a, b, edges, side, fixed, n = case
+        g = build_graph(a, b, edges)
+        counts = {}
+        for ranks in permutations(range(n)):
+            fx, fy = (ranks, fixed) if side is Side.X else (fixed, ranks)
+            counts[ranks] = reference_crossings(edges, fx, fy)
+        cap = data.draw(
             st.one_of(
                 st.integers(0, 64),
-                st.sampled_from(sorted({c for row in counts for c in row})),
-                st.integers(0, 1 << 40),
+                st.sampled_from(sorted(set(counts.values()))),
                 st.integers(0, 1 << 62),
             )
         )
-        # exit_at is a proven lower bound in the solver: never above the optimum
-        ceiling = min(true_best, budget)
-        exit_at = data.draw(st.one_of(st.integers(0, ceiling), st.just(ceiling)))
-        chunk = data.draw(st.sampled_from([1, 3, solver_mod._PAIR_CHUNK_ROWS]))
-
-        # the guard's condition: the weight mass clamped at budget + 1
-        edges = g.edges
-        clamped_mass = sum(
-            min(w * w2, budget + 1)
-            for i, (x, y, w) in enumerate(edges)
-            for x2, y2, w2 in edges[i + 1 :]
-            if x != x2 and y != y2
+        # () asks for a count below cap; a layout also lets a tie with it
+        # win when the ranks come first
+        beat = data.draw(st.one_of(st.just(()), st.permutations(range(n)).map(tuple)))
+        spent = data.draw(st.integers(0, 100))
+        found, total = solver_mod._best_second_order(
+            g, side, fixed, (cap, beat), Limits(), spent
         )
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver_mod, "_PAIR_CHUNK_ROWS", chunk)
-            if clamped_mass >= 1 << 53:
-                with pytest.raises(ResourceLimitError, match="candidate-pair search"):
-                    solver_mod._pair_search(g, xs, ys, exit_at, budget)
-                return
-            best, i, j, evaluated = solver_mod._pair_search(g, xs, ys, exit_at, budget)
-
-        # chunked early exit over the true counts: stop after the first
-        # chunk holding a count at most exit_at
-        want_evaluated = 0
-        for start in range(0, len(xs), chunk):
-            rows = counts[start : start + chunk]
-            want_evaluated += len(rows) * len(ys)
-            if min(min(row) for row in rows) <= exit_at:
-                break
-        assert evaluated == want_evaluated
-        if true_best <= budget:
-            assert (best, i, j) == (true_best, bi, bj)
-        else:
-            assert best > budget
+        below = [(c, r) for r, c in counts.items() if (c, r) < (cap, beat)]
+        assert found == (min(below) if below else None)
+        assert total > spent
 
 
 class TestAgainstTheScan:
@@ -831,23 +879,26 @@ class TestSelfCheck:
     SCRIPT = textwrap.dedent(
         """
         import sys
+        from itertools import permutations
+
         import bicross.solver as solver
-        from bicross import build_graph, crossing_number_fast, drawing_from_ranks
+        from bicross import Side, build_graph, crossing_number_fast, drawing_from_ranks
 
         if not sys.flags.optimize:
             raise SystemExit("expected python -O")
-        real = solver._pair_search
+        real = solver._best_second_order
 
-        def wrong_index(*args, **kwargs):
-            g, xs, ys = args[:3]
-            best, _, _, evaluated = real(*args, **kwargs)
-            for i, xr in enumerate(xs):
-                for j, yr in enumerate(ys):
-                    if crossing_number_fast(drawing_from_ranks(g, xr, yr)) != best:
-                        return best, i, j, evaluated
-            raise SystemExit("every candidate pair is optimal")
+        def wrong_order(h, side, fixed, bar, limits, spent):
+            found, spent = real(h, side, fixed, bar, limits, spent)
+            if found is None:
+                return found, spent
+            for ranks in permutations(range(h.side_count(side))):
+                pair = (fixed, ranks) if side is Side.Y else (ranks, fixed)
+                if crossing_number_fast(drawing_from_ranks(h, *pair)) != found[0]:
+                    return (found[0], ranks), spent
+            raise SystemExit("every order is optimal")
 
-        solver._pair_search = wrong_index
+        solver._best_second_order = wrong_order
         c6 = build_graph(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)])
         for call in (lambda: solver.bcr_decide(c6, 3), lambda: solver.bcr_exact(c6, 3)):
             try:
