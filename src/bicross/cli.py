@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
 
 from .drawing import Drawing, crossing_number_fast
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, _derived_graph
 from .limits import ResourceLimitError
 from .solver import (
     K_MAX_DEFAULT,
@@ -37,6 +38,17 @@ class ParseError(ValueError):
 
 
 # -- graph file grammar ------------------------------------------------------
+#
+# The parsers check every edge line as it comes and build the graph through
+# the trusted constructor: they reject everything BipartiteGraph would
+# (a token that is not a plain decimal, an index out of range, a weight
+# below 1, a duplicate edge), naming the file and line.  A line made of
+# plain tokens separated by spaces or tabs is read by one regular
+# expression; any other line takes the token-by-token path, which accepts
+# the same grammar with any whitespace and names what is wrong.
+
+_NATIVE_EDGE = re.compile(r"[ \t]*x([0-9]+)[ \t]+y([0-9]+)(?:[ \t]+(0*[1-9][0-9]*))?[ \t]*")
+_LIST_EDGE = re.compile(r"[ \t]*([0-9]+)[ \t]+([0-9]+)(?:[ \t]+(0*[1-9][0-9]*))?[ \t]*")
 
 
 def _number(token: str) -> int | None:
@@ -56,6 +68,59 @@ def _edge_token(token: str, side: str, line: int, source: str | None) -> int:
     return index
 
 
+def _native_edge(tokens: list[str], line: int, source: str | None) -> tuple[int, int, int]:
+    """(x, y, weight) of a native edge line, token by token."""
+    if tokens[0] == "bigraph":
+        raise ParseError("second header line", line, source)
+    if len(tokens) not in (2, 3):
+        raise ParseError("expected 'x<i> y<j> [weight]'", line, source)
+    x = _edge_token(tokens[0], "x", line, source)
+    y = _edge_token(tokens[1], "y", line, source)
+    weight = 1
+    if len(tokens) == 3:
+        weight = _number(tokens[2])
+        if weight is None or weight < 1:
+            message = f"weight {tokens[2]!r} is not a plain decimal integer >= 1"
+            raise ParseError(message, line, source)
+    return x, y, weight
+
+
+def _list_edge(tokens: list[str], line: int, source: str | None) -> tuple[int, int, int]:
+    """(i, j, weight) of an edge-list line, token by token."""
+    if len(tokens) not in (2, 3):
+        raise ParseError("expected '<i> <j> [weight]'", line, source)
+    values = [_number(t) for t in tokens]
+    if None in values:
+        raise ParseError("indices and weight must be plain decimal integers", line, source)
+    weight = values[2] if len(tokens) == 3 else 1
+    if weight < 1:
+        raise ParseError("weight must be >= 1", line, source)
+    return values[0], values[1], weight
+
+
+def _edge_lines(lines, pattern: re.Pattern, slow, source: str | None):
+    """(line number, (x, y, weight)) per edge line of lines, an enumeration of
+    text.splitlines(), skipping blanks and '#' comments.
+
+    pattern reads a plain line; every other line goes to slow(tokens,
+    line number, source), which reads it token by token or raises.
+    """
+    for line_no, raw in lines:
+        match = pattern.fullmatch(raw)
+        if match is not None:
+            xs, ys, ws = match.groups()
+            try:
+                edge = int(xs), int(ys), int(ws) if ws else 1
+            except ValueError:  # more digits than int() reads: slow names the token
+                edge = slow(raw.split(), line_no, source)
+        else:
+            tokens = raw.split()
+            if not tokens or tokens[0][0] == "#":
+                continue
+            edge = slow(tokens, line_no, source)
+        yield line_no, edge
+
+
 def parse_graph_text(text: str, source: str | None = None) -> BipartiteGraph:
     """Graph from the native format.
 
@@ -64,50 +129,30 @@ def parse_graph_text(text: str, source: str | None = None) -> BipartiteGraph:
     "x<i> y<j> [weight]" with 0-based indices and weight defaulting to 1.
     Counts, indices and weights are plain decimals: ASCII digits only.
     """
-    x_count = y_count = -1
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, raw in lines:
+        tokens = raw.split()
+        if tokens and tokens[0][0] != "#":
+            break
+    else:
+        raise ParseError("missing 'bigraph' header", 1, source)
+    if tokens[0] != "bigraph" or len(tokens) != 3:
+        raise ParseError("expected header 'bigraph <x_count> <y_count>'", line_no, source)
+    x_count, y_count = _number(tokens[1]), _number(tokens[2])
+    if x_count is None or y_count is None:
+        raise ParseError("header counts must be plain decimal integers", line_no, source)
     edges: list[tuple[int, int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if x_count < 0:
-            if tokens[0] != "bigraph" or len(tokens) != 3:
-                raise ParseError(
-                    "expected header 'bigraph <x_count> <y_count>'", line_no, source
-                )
-            x_count, y_count = _number(tokens[1]), _number(tokens[2])
-            if x_count is None or y_count is None:
-                raise ParseError("header counts must be plain decimal integers", line_no, source)
-            continue
-        if tokens[0] == "bigraph":
-            raise ParseError("second header line", line_no, source)
-        if len(tokens) not in (2, 3):
-            raise ParseError("expected 'x<i> y<j> [weight]'", line_no, source)
-        x = _edge_token(tokens[0], "x", line_no, source)
-        y = _edge_token(tokens[1], "y", line_no, source)
-        weight = 1
-        if len(tokens) == 3:
-            weight = _number(tokens[2])
-            if weight is None or weight < 1:
-                message = f"weight {tokens[2]!r} is not a plain decimal integer >= 1"
-                raise ParseError(message, line_no, source)
+    seen: dict[int, int] = {}  # x * y_count + y -> line of that edge
+    for line_no, (x, y, weight) in _edge_lines(lines, _NATIVE_EDGE, _native_edge, source):
         if x >= x_count:
             raise ParseError(f"x{x} out of range (x_count={x_count})", line_no, source)
         if y >= y_count:
             raise ParseError(f"y{y} out of range (y_count={y_count})", line_no, source)
-        if (x, y) in seen:
-            raise ParseError(
-                f"duplicate edge x{x} y{y} (first on line {seen[(x, y)]})",
-                line_no,
-                source,
-            )
-        seen[(x, y)] = line_no
+        first = seen.setdefault(x * y_count + y, line_no)
+        if first != line_no:
+            raise ParseError(f"duplicate edge x{x} y{y} (first on line {first})", line_no, source)
         edges.append((x, y, weight))
-    if x_count < 0:
-        raise ParseError("missing 'bigraph' header", 1, source)
-    return BipartiteGraph(x_count, y_count, tuple(edges))
+    return _derived_graph(x_count, y_count, tuple(sorted(edges)))
 
 
 def parse_edge_list_text(text: str, source: str | None = None) -> BipartiteGraph:
@@ -116,32 +161,17 @@ def parse_edge_list_text(text: str, source: str | None = None) -> BipartiteGraph
     Side sizes are one past the largest index seen on each side.
     """
     edges: list[tuple[int, int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) not in (2, 3):
-            raise ParseError("expected '<i> <j> [weight]'", line_no, source)
-        values = [_number(t) for t in tokens]
-        if None in values:
-            raise ParseError("indices and weight must be plain decimal integers", line_no, source)
-        weight = values[2] if len(tokens) == 3 else 1
-        if weight < 1:
-            raise ParseError("weight must be >= 1", line_no, source)
-        key = (values[0], values[1])
-        if key in seen:
-            raise ParseError(
-                f"duplicate edge {key[0]} {key[1]} (first on line {seen[key]})",
-                line_no,
-                source,
-            )
-        seen[key] = line_no
-        edges.append((key[0], key[1], weight))
-    x_count = 1 + max((x for x, _, _ in edges), default=-1)
+    seen: dict[tuple[int, int], int] = {}  # (i, j) -> line of that edge
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, (x, y, weight) in _edge_lines(lines, _LIST_EDGE, _list_edge, source):
+        first = seen.setdefault((x, y), line_no)
+        if first != line_no:
+            raise ParseError(f"duplicate edge {x} {y} (first on line {first})", line_no, source)
+        edges.append((x, y, weight))
+    edges.sort()
+    x_count = edges[-1][0] + 1 if edges else 0
     y_count = 1 + max((y for _, y, _ in edges), default=-1)
-    return BipartiteGraph(x_count, y_count, tuple(edges))
+    return _derived_graph(x_count, y_count, tuple(edges))
 
 
 def parse_graph(path: str | Path, fmt: str = "native") -> BipartiteGraph:

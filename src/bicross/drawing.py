@@ -11,6 +11,7 @@ exact at any magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graph import BipartiteGraph, Side
 
@@ -107,49 +108,44 @@ def crossing_number_naive(d: Drawing) -> int:
     return total
 
 
-class _Fenwick:
-    """Prefix sums over integer weights (1-based internal indexing)."""
+def weighted_inversions(edges: Sequence[tuple[int, int, int]], size: int) -> int:
+    """Weighted count of the pairs i < j of edges with edges[i][1] > edges[j][1].
 
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.tree = [0] * (size + 1)
-
-    def add(self, i: int, w: int) -> None:
-        i += 1
-        while i <= self.size:
-            self.tree[i] += w
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        """Sum of weights at indices 0..i inclusive."""
-        i += 1
-        total = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return total
+    edges holds (a, b, weight) triples sorted by (a, b), with b in
+    0..size-1, and a pair counts the product of its weights.  Read a and
+    b as the x-rank and y-rank of an edge: an earlier edge then crosses a
+    later one iff its x-rank is smaller and its y-rank strictly larger (an
+    earlier edge of the same x-rank has a smaller y-rank, by the sort).
+    So this is the weighted crossing count of that drawing, in
+    O(m log size): a sweep keeps the weight inserted so far per b in a
+    binary indexed tree, and each edge adds its weight times the weight
+    already inserted above its b.  A graph's sorted edges are its identity
+    drawing.
+    """
+    tree = [0] * (size + 1)  # 1-based Fenwick tree over b
+    total = inserted = 0
+    for _, b, w in edges:
+        i = b + 1
+        below = 0  # weight inserted at 0..b
+        while i:
+            below += tree[i]
+            i &= i - 1
+        total += w * (inserted - below)
+        i = b + 1
+        while i <= size:
+            tree[i] += w
+            i += i & -i
+        inserted += w
+    return total
 
 
 def crossing_number_fast(d: Drawing) -> int:
     """Weighted crossing count in O(m log m) via inversion counting.
 
-    Sort edges by (x-rank, y-rank) and sweep left to right, keeping the
-    accumulated weight per y-rank in a binary indexed tree.  An earlier
-    edge crosses the current one iff its x-rank is smaller and its y-rank
-    strictly larger, so each edge contributes its weight times the weight
-    already inserted above its y-rank.  An earlier edge with the same
-    x-rank has a smaller y-rank, by the sort, so it is never counted.
+    Sorts the edges by (x-rank, y-rank) and counts their weighted
+    inversions by y-rank (weighted_inversions).
     """
-    g = d.graph
-    if g.m <= 1:
-        return 0
     fx = d.fx.ranks
     fy = d.fy.ranks
-    tree = _Fenwick(g.y_count)
-    total = 0
-    inserted = 0
-    for _, ry, w in sorted((fx[x], fy[y], w) for x, y, w in g.edges):
-        total += w * (inserted - tree.prefix(ry))
-        tree.add(ry, w)
-        inserted += w
-    return total
+    g = d.graph
+    return weighted_inversions(sorted([(fx[x], fy[y], w) for x, y, w in g.edges]), g.y_count)

@@ -488,9 +488,18 @@ def enumerate_candidates(
     entries of the vertex it inserts (see Limits).  The walk recurses
     once per vertex, so a side too deep for the recursion limit raises
     ResourceLimitError at once (check_depth), before any table is built.
+    So does a graph with more crossable edge pairs, counted from the
+    degrees, than limits.max_crossable_pairs: the tables hold one entry
+    per such pair.
     """
     a = g.side_count(side)
     check_depth(side, a)
+    pairs = g.crossable_pair_count
+    if pairs > limits.max_crossable_pairs:
+        raise ResourceLimitError(
+            f"candidate walk on side {side.value} at k={k}: the graph has {pairs} "
+            f"crossable edge pairs, over max_crossable_pairs={limits.max_crossable_pairs}"
+        )
     spine = build_spine(g, side, root=0)
     order = spine.decode_order
     successor = spine.successor

@@ -118,6 +118,25 @@ class BipartiteGraph:
         return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
     @cached_property
+    def component_count(self) -> int:
+        """Number of connected components, isolated vertices included."""
+        return _union_find(self)[1]
+
+    @property
+    def crossable_pair_count(self) -> int:
+        """len(crossable_pairs), from the degrees alone, without building the table.
+
+        Two distinct edges share at most one endpoint, so the pairs that
+        can cross are the C(m, 2) edge pairs minus the C(deg v, 2) pairs
+        that meet at each vertex v.
+        """
+        m = len(self.edges)
+        meeting = sum(
+            len(nbrs) * (len(nbrs) - 1) for adj in (self.x_adj, self.y_adj) for nbrs in adj
+        )
+        return (m * (m - 1) - meeting) // 2
+
+    @cached_property
     def crossable_pairs(self) -> tuple[tuple[int, int, int, int, int], ...]:
         """``(x, y, x2, y2, w * w2)`` per edge pair with four distinct endpoints,
         the pairs that can cross, in edge order; the cost w * w2 is an exact int."""
@@ -147,20 +166,21 @@ class BipartiteGraph:
 
 
 def _derived_graph(
-    x_count: int, y_count: int, edges: tuple[tuple[int, int, int], ...]
+    x_count: int, y_count: int, edges: tuple[tuple[int, int, int], ...], **known
 ) -> BipartiteGraph:
-    """A graph made from parts of a validated one, skipping re-validation.
+    """A graph from edges already known to be valid, skipping re-validation.
 
     Only for split_components, sibling_merge and _pendant_path_kernel,
-    whose edges come from a valid graph: a sorted tuple of in-range
-    (x, y, weight) triples with positive weights and no duplicates.
-    Outside input goes through BipartiteGraph(...) or build_graph, which
-    check everything.
+    whose edges come from a valid graph, and for the CLI parsers, which
+    reject every line that BipartiteGraph would: edges must be a sorted
+    tuple of in-range (x, y, weight) triples with positive int weights
+    and no duplicates.  known fills cached views the caller has already
+    computed (x_adj, y_adj, component_count), each equal to what the
+    property would compute.  Library input goes through
+    BipartiteGraph(...) or build_graph, which check everything.
     """
     g = object.__new__(BipartiteGraph)
-    object.__setattr__(g, "x_count", x_count)
-    object.__setattr__(g, "y_count", y_count)
-    object.__setattr__(g, "edges", edges)
+    g.__dict__.update(x_count=x_count, y_count=y_count, edges=edges, **known)
     return g
 
 
@@ -204,14 +224,9 @@ def _union_find(g: BipartiteGraph) -> tuple[list[int], int]:
     return parent, count
 
 
-def _component_count(g: BipartiteGraph) -> int:
-    """Number of connected components, isolated vertices included."""
-    return _union_find(g)[1]
-
-
 def is_connected(g: BipartiteGraph) -> bool:
     """True iff all n vertices are mutually reachable (vacuously true for n <= 1)."""
-    return g.n <= 1 or _component_count(g) == 1
+    return g.n <= 1 or g.component_count == 1
 
 
 @dataclass(frozen=True)
@@ -233,6 +248,11 @@ def split_components(g: BipartiteGraph) -> list[GraphComponent]:
 
     Components are ordered by their smallest original X index; components
     with no X vertex (isolated Y vertices) follow, ordered by smallest Y.
+    Each component graph is made by this call and comes with its x_adj,
+    y_adj and component_count (1) already filled, from the same pass
+    that buckets its edges.  A connected g is copied too, so nothing
+    cached on a component outlives the caller's use of it.  The lone
+    vertices of one side share one edgeless graph.
     """
     parent, _ = _union_find(g)
     xc = g.x_count
@@ -254,13 +274,40 @@ def split_components(g: BipartiteGraph) -> list[GraphComponent]:
         members = sides[c][v >= xc]
         local[v] = len(members)
         members.append(v if v < xc else v - xc)
-    # one pass buckets the sorted edges, keeping them sorted per component
+    # one pass buckets the sorted edges, keeping them sorted per component,
+    # and lists the neighbours of each vertex: local indices ascend with
+    # the original ones, so the lists come out sorted too
     buckets: list[list[tuple[int, int, int]]] = [[] for _ in sides]
+    x_nbrs: list[list[int]] = [[] for _ in range(xc)]
+    y_nbrs: list[list[int]] = [[] for _ in range(g.y_count)]
+    y_local = local[xc:]
     for x, y, w in g.edges:
-        buckets[comp[x]].append((local[x], local[xc + y], w))
+        lx, ly = local[x], y_local[y]
+        buckets[comp[x]].append((lx, ly, w))
+        x_nbrs[x].append(ly)
+        y_nbrs[y].append(lx)
+    # a lone vertex's graph is the same on each side, so this call's lone
+    # vertices share one per side
+    lone = ()
+    if not all(buckets):
+        lone = (
+            _derived_graph(0, 1, (), x_adj=(), y_adj=((),), component_count=1),
+            _derived_graph(1, 0, (), x_adj=((),), y_adj=(), component_count=1),
+        )
     return [
         GraphComponent(
-            _derived_graph(len(xs), len(ys), tuple(edges)), tuple(xs), tuple(ys)
+            _derived_graph(
+                len(xs),
+                len(ys),
+                tuple(edges),
+                x_adj=tuple(map(tuple, map(x_nbrs.__getitem__, xs))),
+                y_adj=tuple(map(tuple, map(y_nbrs.__getitem__, ys))),
+                component_count=1,
+            )
+            if edges
+            else lone[len(xs)],
+            tuple(xs),
+            tuple(ys),
         )
         for (xs, ys), edges in zip(sides, buckets)
     ]
@@ -356,10 +403,12 @@ def sibling_merge(g: BipartiteGraph) -> MergeResult:
         key = (new_x[x_redirect.get(x, x)], new_y[y_redirect.get(y, y)])
         weights[key] = weights.get(key, 0) + w
 
+    # merging leaves into a sibling keeps every component
     merged = _derived_graph(
         len(keep_x),
         len(keep_y),
         tuple((x, y, w) for (x, y), w in sorted(weights.items())),
+        component_count=g.component_count,
     )
     return MergeResult(
         merged,
@@ -474,7 +523,8 @@ def _pendant_path_kernel(g: BipartiteGraph, budget: int) -> PathKernel:
     keep_y = [y for y in range(g.y_count) if y not in drop[1]]
     new_x = {orig: i for i, orig in enumerate(keep_x)}
     new_y = {orig: i for i, orig in enumerate(keep_y)}
-    # both maps are monotone, so the kept edges stay sorted
+    # both maps are monotone, so the kept edges stay sorted; cutting the
+    # end off a pendant path keeps every component
     kernel = _derived_graph(
         len(keep_x),
         len(keep_y),
@@ -483,6 +533,7 @@ def _pendant_path_kernel(g: BipartiteGraph, budget: int) -> PathKernel:
             for x, y, w in g.edges
             if x in new_x and y in new_y
         ),
+        component_count=g.component_count,
     )
     return PathKernel(kernel, tuple(keep_x), tuple(keep_y), tuple(paths), keep, longest)
 
@@ -498,7 +549,7 @@ def crossing_lower_bound(g: BipartiteGraph) -> int:
     graphs are forests, so m - t <= n - c.  Weighted crossings only cost
     more, so the bound holds for weighted graphs too.
     """
-    return max(0, g.m - g.n + _component_count(g))
+    return max(0, g.m - g.n + g.component_count)
 
 
 def is_caterpillar_forest(g: BipartiteGraph) -> bool:
@@ -507,16 +558,16 @@ def is_caterpillar_forest(g: BipartiteGraph) -> bool:
     These are exactly the graphs with a crossing-free two-layer drawing,
     so the solver may answer 0 without enumeration when this holds.
     """
-    if g.m != g.n - _component_count(g):
+    if g.m != g.n - g.component_count:
         return False  # some component has a cycle
     # In a forest the non-leaf vertices of a component induce a subtree;
     # that subtree is a path iff nobody has three non-leaf neighbors.
-    x_deg = [len(nbrs) for nbrs in g.x_adj]
-    y_deg = [len(nbrs) for nbrs in g.y_adj]
-    for x in range(g.x_count):
-        if sum(1 for y in g.x_adj[x] if y_deg[y] >= 2) > 2:
-            return False
-    for y in range(g.y_count):
-        if sum(1 for x in g.y_adj[y] if x_deg[x] >= 2) > 2:
+    x_adj, y_adj = g.x_adj, g.y_adj
+    for leaf_adj, adj in ((x_adj, y_adj), (y_adj, x_adj)):
+        inner = list(map(len, adj))  # degrees, less the leaves below
+        for nbrs in leaf_adj:
+            if len(nbrs) == 1:  # a leaf: not a non-leaf neighbour of nbrs[0]
+                inner[nbrs[0]] -= 1
+        if max(inner, default=0) > 2:
             return False
     return True

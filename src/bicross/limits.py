@@ -15,11 +15,12 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Limits:
-    """Three ceilings on the solver's work, one per kind of work.
+    """Four ceilings on the solver's work, one per kind of work.
 
     oracle_max_side bounds the exhaustive scans by side, max_pair_evaluations
-    by the layout pairs they would visit, and max_walk_nodes the budgeted
-    search: the candidate walk and the second-side searches.  Exceeding
+    by the layout pairs they would visit, max_walk_nodes the budgeted
+    search (the candidate walk and the second-side searches), and
+    max_crossable_pairs the memory of that search's tables.  Exceeding
     one raises ResourceLimitError.
 
     Attributes:
@@ -48,11 +49,23 @@ class Limits:
             C10 with 30 leaves on each X vertex walks its 5 X vertices at
             the identity drawing's count 607 and answers at k = 10^6
             within 2^10 nodes.
+        max_crossable_pairs: cap on the edge pairs with four distinct
+            endpoints, the pairs that can cross, of a graph handed to the
+            candidate walk.  The walk and the second-side search build
+            tables with one entry per such pair, about m^2 / 2 of them;
+            the count comes from the degrees and is checked before any
+            table is built.  With Python 3.11 a walk holds about 260
+            bytes per pair at its peak (tracemalloc, crossable_pairs
+            included), so the default 2^21 stops a search before its
+            tables pass about 0.5 GB.  C4 with a 600-edge path hung on
+            it and a leaf on every path vertex has 722,402 such pairs and
+            answers k = 1; K_{46,46} has 2,142,450 and raises at once.
     """
 
     oracle_max_side: int = 8
     max_pair_evaluations: int = 1 << 30
     max_walk_nodes: int = 1 << 19
+    max_crossable_pairs: int = 1 << 21
 
 
 DEFAULT_LIMITS = Limits()

@@ -14,9 +14,10 @@ path, and then each merged vertex is replaced by its leaves.  The orders
 of all components become the one Drawing of the solve, which is
 recounted before it is returned.  The budget handed to the enumeration
 is first capped at the crossing count of the identity drawing, which
-the optimum cannot exceed.  Work is counted in one record, SolveStats:
-the counts of each search add up over the budgets of a component, then
-over the components.
+the optimum cannot exceed: the weighted inversions of the merged
+graph's sorted edges, with no Drawing built.  Work is counted in one
+record, SolveStats: the counts of each search add up over the budgets
+of a component, then over the components.
 
 The search is complete.  The candidate stream of the first side holds
 the layout of every drawing with at most budget crossings (see
@@ -50,8 +51,8 @@ from .drawing import (
     Drawing,
     crossing_number_fast,
     drawing_from_ranks,
-    identity_drawing,
     layout_from_sequence,
+    weighted_inversions,
 )
 from .enumeration import check_depth, count_bound, enumerate_candidates
 from .graph import (
@@ -603,8 +604,8 @@ def _solve_component(
 
     # the optimum is at most any drawing's count, so a larger budget admits
     # no further optimal pair; the cap keeps the walk's budget, and so its
-    # nodes, small
-    cap = crossing_number_fast(identity_drawing(h))
+    # nodes, small.  h's sorted edges are its identity drawing.
+    cap = weighted_inversions(h.edges, h.y_count)
     stats = _NO_WORK
     for budget in range(max(min(budgets[0], cap), lb), min(hi, cap) + 1):
         kernel = _pendant_path_kernel(h, budget)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from bicross.cli import (
     parse_graph_text,
     svg_string,
 )
+from util import weighted_triples
 
 C4_TEXT = """\
 # a four-cycle
@@ -31,23 +33,8 @@ x1 y1
 
 @st.composite
 def weighted_graphs(draw, covered: bool = False):
-    """Random weighted graphs with up to 8 vertices a side and 20 edges.
-
-    Unless covered, some vertices are isolated, trailing ones included.
-    With covered, the last vertex on each side has an edge, which is what
-    an edge list needs to carry the side sizes.
-    """
-    weights = st.one_of(st.just(1), st.integers(1, 9), st.integers(1, 1 << 70))
-    edges = draw(
-        st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), weights, max_size=20)
-    )
-    if covered:
-        x_count = 1 + max((x for x, _ in edges), default=-1)
-        y_count = 1 + max((y for _, y in edges), default=-1)
-    else:
-        x_count = draw(st.integers(max((x + 1 for x, _ in edges), default=0), 8))
-        y_count = draw(st.integers(max((y + 1 for _, y in edges), default=0), 8))
-    return BipartiteGraph(x_count, y_count, tuple((x, y, w) for (x, y), w in edges.items()))
+    """A BipartiteGraph of util.weighted_triples (see there for covered)."""
+    return BipartiteGraph(*draw(weighted_triples(covered)))
 
 
 def c4():
@@ -130,6 +117,55 @@ class TestParsing:
         with pytest.raises(ParseError, match="integers") as err:
             parse_edge_list_text(f"0 0\n{line}\n", source="g.txt")
         assert str(err.value).startswith("g.txt:2:")
+
+    @settings(max_examples=200, deadline=None)
+    @given(triple=weighted_triples(), seed=st.integers(0, 2**32))
+    def test_parsers_build_what_the_validating_constructor_builds(self, triple, seed):
+        # the parsers skip BipartiteGraph's checks, so in any line order
+        # they must build the very graph those checks would
+        a, b, edges = triple
+        lines = [f"x{x} y{y}" + (f" {w}" if w > 1 else "") for x, y, w in edges]
+        random.Random(seed).shuffle(lines)
+        native = parse_graph_text(f"bigraph {a} {b}\n" + "\n".join(lines) + "\n")
+        assert native == BipartiteGraph(a, b, tuple(edges))
+        plain = [line.replace("x", "").replace("y", "") for line in lines]
+        listed = parse_edge_list_text("".join(line + "\n" for line in plain))
+        a = 1 + max((x for x, _, _ in edges), default=-1)
+        b = 1 + max((y for _, y, _ in edges), default=-1)
+        assert listed == BipartiteGraph(a, b, tuple(edges))
+
+    @pytest.mark.parametrize(
+        "fmt,body,fragment",
+        [
+            ("native", "x0 y2", "y2 out of range"),
+            ("edgelist", "0 -1", "plain decimal integers"),  # below the range
+            ("native", "x0 y0", r"duplicate edge x0 y0 \(first on line 2\)"),
+            ("edgelist", "0 0", r"duplicate edge 0 0 \(first on line 2\)"),
+            ("native", "x1 y1 0", "weight '0'"),
+            ("edgelist", "1 1 0", "weight must be >= 1"),
+            ("native", "x1 y1 1_0", "weight '1_0'"),
+            ("edgelist", "1 1 1_0", "plain decimal integers"),
+            ("native", "x1 y\u0661", "expected y<index>"),
+            ("edgelist", "1 \u0661", "plain decimal integers"),
+        ],
+    )
+    def test_errors_name_the_file_and_line(self, fmt, body, fragment):
+        # line 1 is the header (native) or a comment (edge list), line 2
+        # the edge x0 y0, line 3 the bad one
+        head = "bigraph 2 2\n" if fmt == "native" else "# edges\n"
+        first = "x0 y0\n" if fmt == "native" else "0 0\n"
+        parse = parse_graph_text if fmt == "native" else parse_edge_list_text
+        with pytest.raises(ParseError, match=fragment) as err:
+            parse(head + first + body + "\n", source="g.txt")
+        assert str(err.value).startswith("g.txt:3: ")
+        assert err.value.line == 3
+
+    def test_lines_with_other_whitespace_parse_as_before(self):
+        # a form feed splits lines; tabs, no-break spaces and padding do not
+        g = parse_graph_text("bigraph 3 3\n\tx0\u00a0y1  \n x1\ty2\t2\n\x0cx2 y0\n")
+        assert g.edges == ((0, 1, 1), (1, 2, 2), (2, 0, 1))
+        g = parse_edge_list_text("0\u00a01\n 1\t2\t2 \n")
+        assert g.edges == ((0, 1, 1), (1, 2, 2))
 
     def test_edge_list_duplicate_names_both_lines(self):
         with pytest.raises(ParseError, match=r"duplicate edge 0 0 \(first on line 1\)") as err:
@@ -243,6 +279,14 @@ class TestCommands:
         code, _, err = self.run(capsys, "census", "--k", "0", path)
         assert code == 3
         assert "census" in err
+
+    def test_crossable_pair_ceiling_exit_code(self, tmp_path, capsys):
+        # K_{46,46}: 2,142,450 edge pairs that can cross, over the 2^21 default
+        text = "bigraph 46 46\n" + "".join(f"x{x} y{y}\n" for x in range(46) for y in range(46))
+        path = write(tmp_path, "k46.bg", text)
+        code, _, err = self.run(capsys, "decide", "--k", "3000", path)
+        assert code == 3
+        assert "2142450 crossable edge pairs, over max_crossable_pairs=2097152" in err
 
     @pytest.mark.parametrize(
         "flag,value",

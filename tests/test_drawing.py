@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicross import (
     Layout,
@@ -17,7 +19,8 @@ from bicross import (
     layout_from_sequence,
     validate_layout,
 )
-from util import all_drawings, random_connected_graph, reference_crossings
+from bicross.drawing import weighted_inversions
+from util import all_drawings, random_connected_graph, reference_crossings, weighted_triples
 
 
 def c4():
@@ -50,6 +53,23 @@ class TestLayout:
 
 
 class TestCounters:
+    @settings(max_examples=300, deadline=None)
+    @given(triple=weighted_triples(max_side=6))
+    def test_inversions_of_sorted_edges_count_the_identity_drawing(self, triple):
+        # the solver's budget cap: no Drawing, just the edges as they stand
+        g = build_graph(*triple)
+        cap = weighted_inversions(g.edges, g.y_count)
+        assert cap == crossing_number_naive(identity_drawing(g))
+
+    @settings(max_examples=300, deadline=None)
+    @given(triple=weighted_triples(max_side=6), seed=st.integers(0, 2**32))
+    def test_fast_counter_matches_the_naive_one(self, triple, seed):
+        g = build_graph(*triple)
+        rng = random.Random(seed)
+        a, b = g.x_count, g.y_count
+        d = drawing_from_ranks(g, rng.sample(range(a), a), rng.sample(range(b), b))
+        assert crossing_number_fast(d) == crossing_number_naive(d)
+
     def test_c4_identity_has_one_crossing(self):
         d = identity_drawing(c4())
         assert crossing_number_naive(d) == 1

@@ -22,6 +22,7 @@ from bicross import (
     sibling_merge,
     split_components,
 )
+from bicross.graph import _pendant_path_kernel
 from util import (
     exhaustive_connected_graphs,
     has_sibling_pair,
@@ -141,6 +142,12 @@ class TestCrossablePairs:
         g = BipartiteGraph(a, b, tuple(edges))
         assert list(g.crossable_pairs) == reference_crossable_pairs(edges)
         assert g.crossable_pairs is g.crossable_pairs  # built once, then cached
+        assert g.crossable_pair_count == len(g.crossable_pairs)
+
+    def test_count_needs_no_table(self):
+        g = build_graph(46, 46, [(x, y) for x in range(46) for y in range(46)])
+        assert g.crossable_pair_count == 2_142_450  # C(2116, 2) - 92 * C(46, 2)
+        assert "crossable_pairs" not in vars(g)
 
     def test_derived_graphs_match_a_brute_force(self):
         # split and merge build their graphs without __post_init__
@@ -285,6 +292,79 @@ class TestDerivedGraphs:
         # the inputs do exercise both: leaves were merged, components split off
         assert sum(h.m < g.m for g, h in zip(graphs, merged)) >= 50
         assert len(derived) > 3 * len(graphs)
+
+
+def sparse_union(rng) -> BipartiteGraph:
+    """Stars centred on either side, lone edges, isolated vertices and small
+    connected blocks, side by side, with the labels of each side shuffled."""
+    parts = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            leaves = rng.randint(2, 5)
+            if rng.random() < 0.5:
+                parts.append((1, leaves, [(0, y, rng.randint(1, 3)) for y in range(leaves)]))
+            else:
+                parts.append((leaves, 1, [(x, 0, 1) for x in range(leaves)]))
+        elif kind == 1:
+            parts.append((1, 1, [(0, 0, rng.randint(1, 3))]))
+        elif kind == 2:
+            parts.append((1, 0, []) if rng.random() < 0.5 else (0, 1, []))
+        else:
+            parts.append(random_connected_graph(rng, max_n=7, leaf_weights=True))
+    a = b = 0
+    edges = []
+    for pa, pb, pe in parts:
+        edges += [(a + x, b + y, w) for x, y, w in pe]
+        a, b = a + pa, b + pb
+    px, py = rng.sample(range(a), a), rng.sample(range(b), b)
+    return BipartiteGraph(a, b, tuple((px[x], py[y], w) for x, y, w in edges))
+
+
+class TestSplitViews:
+    """split_components hands each component its adjacency and connectivity,
+    and the graphs derived from a component keep the connectivity."""
+
+    VIEWS = ("x_adj", "y_adj", "component_count")
+
+    def graphs(self) -> list[BipartiteGraph]:
+        rng = random.Random(43)
+        return [sparse_union(rng) for _ in range(300)]
+
+    def test_prefilled_views_match_a_fresh_graph(self):
+        lone = edgeless = 0
+        for g in self.graphs():
+            for part in split_components(g):
+                h = part.graph
+                assert set(self.VIEWS) <= set(vars(h))  # filled before any use
+                fresh = BipartiteGraph(h.x_count, h.y_count, h.edges)
+                assert (h.x_adj, h.y_adj) == (fresh.x_adj, fresh.y_adj)
+                assert h.component_count == fresh.component_count == 1
+                assert is_connected(h) and is_connected(fresh)
+                assert is_caterpillar_forest(h) == is_caterpillar_forest(fresh)
+                assert crossing_lower_bound(h) == crossing_lower_bound(fresh)
+                lone += h.n == 1
+                edgeless += not h.m
+        assert lone == edgeless >= 100
+
+    def test_merge_and_kernel_keep_the_count(self):
+        carried = 0
+        for g in self.graphs():
+            for part in split_components(g):
+                merged = sibling_merge(part.graph).graph
+                kernel = _pendant_path_kernel(merged, 0).graph
+                for h in (merged, kernel):
+                    assert "component_count" in vars(h)
+                    fresh = BipartiteGraph(h.x_count, h.y_count, h.edges)
+                    assert h.component_count == fresh.component_count == 1
+                carried += merged is not part.graph
+        assert carried >= 100
+
+    def test_a_connected_input_is_copied(self):
+        g = c4()
+        (part,) = split_components(g)
+        assert part.graph == g and part.graph is not g
+        assert vars(g).keys() == {"x_count", "y_count", "edges"}  # nothing cached on the input
 
 
 class TestSiblingPairs:

@@ -205,8 +205,8 @@ class TestComponentSolve:
 
 class TestOneDrawingPerSolve:
     """A component's witness stays a pair of vertex orders until the solve
-    composes them: the only Drawings built are the identity for the budget
-    cap and the returned witness."""
+    composes them, and the budget cap is counted off the sorted edges: the
+    only Drawing built is the returned witness."""
 
     @staticmethod
     def drawings_built(monkeypatch, g, k):
@@ -231,9 +231,7 @@ class TestOneDrawingPerSolve:
         g = BipartiteGraph(a + 2, b, tuple(edges + [(a, 1, 1), (a + 1, 1, 1)]))
         report, built = self.drawings_built(monkeypatch, g, 3)
         assert (report.decision, report.optimum) == ("yes", 2)
-        assert len(built) == 2
-        assert built[0] == sibling_merge(g).graph  # the identity of the budget cap
-        assert built[1] is g
+        assert built == [g]
 
     def test_isolated_vertices_build_one_drawing(self, monkeypatch):
         g = build_graph(26, 25, [(0, 0)])
@@ -465,6 +463,37 @@ class TestRecursionDepth:
         assert bcr_decide(g, 1).optimum == 1
 
 
+class TestCrossablePairCeiling:
+    """A graph with too many edge pairs that can cross raises before any
+    table of them is built; below the ceiling long trees still answer."""
+
+    def test_small_ceiling_raises_before_the_table(self):
+        c6 = (3, 3, [(i, i, 1) for i in range(3)] + [((i + 1) % 3, i, 1) for i in range(3)])
+        a, b, edges = with_pendant_path(c6, True, 0, 4)
+        g = BipartiteGraph(a, b, tuple(edges))
+        count = g.crossable_pair_count
+        assert count == len(BipartiteGraph(a, b, tuple(edges)).crossable_pairs) == 34
+        limits = Limits(max_crossable_pairs=count - 1)
+        message = f"{count} crossable edge pairs, over max_crossable_pairs={count - 1}"
+        with pytest.raises(ResourceLimitError, match=message):
+            list(enumerate_candidates(g, Side.X, 2, limits))
+        assert "crossable_pairs" not in vars(g)
+        # at the ceiling the walk runs, and streams the layouts of bcr = 2
+        assert len(list(enumerate_candidates(g, Side.X, 2, Limits(max_crossable_pairs=count)))) > 0
+
+    def test_k46_46_raises_at_once(self):
+        g = build_graph(46, 46, [(x, y) for x in range(46) for y in range(46)])
+        with pytest.raises(ResourceLimitError, match="2142450 crossable edge pairs"):
+            bcr_decide(g, 3000)
+
+    def test_long_hanging_caterpillar_still_answers(self):
+        # nothing to cut: the kernel is the whole graph, 722,402 pairs
+        g = c4_leafy_path(600)
+        assert g.crossable_pair_count < Limits().max_crossable_pairs
+        report = bcr_decide(g, 1)
+        assert (report.decision, report.optimum) == ("yes", 1)
+
+
 class TestExact:
     def test_known_values(self):
         assert bcr_exact(c4(), 5).optimum == 1
@@ -577,14 +606,23 @@ class TestExact:
 
     def test_setup_once_per_component(self, monkeypatch):
         # the ascent repeats only enumeration and pair search, not the
-        # caterpillar test, merge, lower bound or identity-drawing count
+        # caterpillar test, merge, lower bound or the budget cap, which
+        # counts the inversions of the merged graph's edges and builds no
+        # identity drawing
+        assert not hasattr(solver_mod, "identity_drawing")
         calls = {}
-        for name in ("is_caterpillar_forest", "sibling_merge", "crossing_lower_bound", "identity_drawing"):
+        setup = (
+            "is_caterpillar_forest",
+            "sibling_merge",
+            "crossing_lower_bound",
+            "weighted_inversions",
+        )
+        for name in setup:
             real = getattr(solver_mod, name)
 
-            def counting(g, real=real, name=name):
+            def counting(*args, real=real, name=name):
                 calls[name] = calls.get(name, 0) + 1
-                return real(g)
+                return real(*args)
 
             monkeypatch.setattr(solver_mod, name, counting)
         k23 = build_graph(2, 3, [(i, j) for i in range(2) for j in range(3)])
@@ -599,7 +637,7 @@ class TestExact:
             calls.clear()
             assert bcr_exact(g, 40).decision == "yes"
             assert calls.get("is_caterpillar_forest") == len(parts)
-            for name in ("sibling_merge", "crossing_lower_bound", "identity_drawing"):
+            for name in setup[1:]:
                 assert calls.get(name, 0) == enumerated, (name, calls)
         # some components take more than one budget to solve
         assert ascents >= 5

@@ -447,3 +447,24 @@ def weighted_connected_graphs(draw, max_side: int = 5):
     cells |= set(draw(st.lists(st.sampled_from(every), max_size=6)))
     weight = st.sampled_from([1, 1, 1, 2, 3])
     return a, b, sorted((x, y, draw(weight)) for x, y in cells)
+
+
+@st.composite
+def weighted_triples(draw, covered: bool = False, max_side: int = 8):
+    """Random weighted graphs with up to max_side vertices a side and 20 edges.
+
+    Weights run up to 2^70.  Unless covered, some vertices are isolated,
+    trailing ones included, and a graph may have no edge at all.  With
+    covered, the last vertex on each side has an edge, which is what an
+    edge list needs to carry the side sizes.
+    """
+    weights = st.one_of(st.just(1), st.integers(1, 9), st.integers(1, 1 << 70))
+    cells = st.tuples(st.integers(0, max_side - 2), st.integers(0, max_side - 2))
+    edges = draw(st.dictionaries(cells, weights, max_size=20))
+    if covered:
+        x_count = 1 + max((x for x, _ in edges), default=-1)
+        y_count = 1 + max((y for _, y in edges), default=-1)
+    else:
+        x_count = draw(st.integers(max((x + 1 for x, _ in edges), default=0), max_side))
+        y_count = draw(st.integers(max((y + 1 for _, y in edges), default=0), max_side))
+    return x_count, y_count, sorted((x, y, w) for (x, y), w in edges.items())
