@@ -8,8 +8,9 @@ exact optimum:
     >>> bicross.bcr_exact(c4).optimum
     1
 
-__all__ holds the names the README documents.  A few more helpers stay
-importable from the package without being part of that API.
+__all__ holds the names the README documents.  Two more helpers,
+layout_from_sequence and validate_layout, stay importable from the
+package without being part of that API.
 """
 
 from .drawing import (
@@ -18,17 +19,13 @@ from .drawing import (
     crossing_number_fast,
     crossing_number_naive,
     drawing_from_ranks,
-    identity_drawing,
     layout_from_sequence,
     validate_layout,
 )
 from .enumeration import (
-    CandidateEncoding,
     SpineMap,
     build_spine,
     count_bound,
-    decode_layout,
-    encoding_from_layout,
     enumerate_candidates,
     verify_spine,
 )
@@ -36,15 +33,10 @@ from .graph import (
     BipartiteGraph,
     GraphComponent,
     GraphError,
-    SiblingPair,
     Side,
-    VertexId,
     build_graph,
     crossing_lower_bound,
-    find_sibling_pairs,
     is_caterpillar_forest,
-    is_connected,
-    merge_sibling_leaves,
     sibling_merge,
     split_components,
 )
@@ -64,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteGraph",
-    "CandidateEncoding",
     "CensusResult",
     "Drawing",
     "GraphComponent",
@@ -73,7 +64,6 @@ __all__ = [
     "Limits",
     "ResourceLimitError",
     "SelfCheckError",
-    "SiblingPair",
     "Side",
     "SolveReport",
     "SolveStats",
@@ -88,13 +78,10 @@ __all__ = [
     "crossing_lower_bound",
     "crossing_number_fast",
     "crossing_number_naive",
-    "decode_layout",
     "drawing_from_ranks",
-    "encoding_from_layout",
     "enumerate_candidates",
-    "find_sibling_pairs",
     "is_caterpillar_forest",
-    "merge_sibling_leaves",
+    "sibling_merge",
     "split_components",
     "verify_spine",
 ]

@@ -26,13 +26,6 @@ class Layout:
     def __len__(self) -> int:
         return len(self.ranks)
 
-    def sequence(self) -> tuple[int, ...]:
-        """Vertices in left-to-right order (the inverse permutation)."""
-        seq = [0] * len(self.ranks)
-        for v, r in enumerate(self.ranks):
-            seq[r] = v
-        return tuple(seq)
-
 
 def validate_layout(layout: Layout) -> bool:
     """True iff the rank array is a permutation of 0..len-1."""
@@ -67,15 +60,6 @@ class Drawing:
             raise ValueError("layout lengths do not match the graph's side sizes")
         if not validate_layout(self.fx) or not validate_layout(self.fy):
             raise ValueError("layout rank arrays must be permutations")
-
-
-def identity_drawing(g: BipartiteGraph) -> Drawing:
-    """Both sides in index order."""
-    return Drawing(
-        g,
-        Layout(Side.X, tuple(range(g.x_count))),
-        Layout(Side.Y, tuple(range(g.y_count))),
-    )
 
 
 def drawing_from_ranks(

@@ -34,12 +34,14 @@ the graph is connected and free of sibling pairs.  The mechanism:
    further vertices are inserted and equals gap(x) once all are placed,
    so the partial cost sum(max(0, between(x) - l(x))) never exceeds the
    final one, and an insertion that takes it above 4k is cut with every
-   layout below it.  Such a layout is also reproduced by a root rank and
-   per non-root vertex a gap and a direction (CandidateEncoding,
-   decode_layout).  At most a - 1 vertices have l(x) = 1, so the raw
+   layout below it.  A layout is pinned down by the rank of the root
+   and, per non-root vertex x, its gap(x) and whether x lies left or
+   right of T(x): placing the vertices in spine order, each rank follows
+   from its parent's.  At most a - 1 vertices have l(x) = 1, so the raw
    gaps still sum to at most 4k + a - 1: the stream is a subset of the
-   orders that count_bound counts.  That total is not capped; the walk's
-   one guard is Limits.max_walk_nodes.
+   orders that count_bound counts by those (root rank, gaps, directions)
+   choices.  That total is not capped; the walk's one guard is
+   Limits.max_walk_nodes.
 
 4. The same walk also cuts on the one-sided crossing bound (Juenger and
    Mutzel 1997; Dujmovic, Fernau and Kaufmann 2008).  Fix this side's
@@ -88,7 +90,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .drawing import Layout
-from .graph import BipartiteGraph, GraphError, Side
+from .graph import BipartiteGraph, GraphError, Side, _check_budget
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 
 
@@ -114,32 +116,11 @@ class SpineMap:
         for child, parent in self.successor.items():
             children.setdefault(parent, []).append(child)
         order = [self.root]
-        queue = [self.root]
-        while queue:
-            v = queue.pop(0)
-            for c in sorted(children.get(v, ())):
-                order.append(c)
-                queue.append(c)
+        for v in order:  # breadth first: the loop also visits what it appends
+            order.extend(sorted(children.get(v, ())))
         if len(order) != len(self.successor) + 1:
             raise GraphError("successor map does not reach every vertex from the root")
         return tuple(order)
-
-
-@dataclass(frozen=True)
-class CandidateEncoding:
-    """(gaps, signs, root_rank) triple that pins down a layout on a spine.
-
-    gaps[x] (>= 0) and signs[x] (+1 or -1) are defined for every non-root
-    vertex; the decoded rank of x sits signs[x] * (gaps[x] + 1) away from
-    the rank of its successor.
-    """
-
-    gaps: dict[int, int]
-    signs: dict[int, int]
-    root_rank: int
-
-    def gap_total(self) -> int:
-        return sum(self.gaps.values())
 
 
 def _euler_circuit(g: BipartiteGraph, start: int) -> list[int]:
@@ -274,45 +255,6 @@ def verify_spine(g: BipartiteGraph, s: SpineMap) -> bool:
             return False
         parent[rx] = rt
     return True
-
-
-def decode_layout(s: SpineMap, enc: CandidateEncoding) -> Layout | None:
-    """Ranks from an encoding, or None when they do not form a permutation.
-
-    rank(root) = root_rank, then outward along the spine tree:
-    rank(x) = rank(T(x)) + signs[x] * (gaps[x] + 1).  A rank collision or
-    an out-of-range rank is a normal failed decode, not an error.
-    """
-    order = s.decode_order
-    a = len(order)
-    ranks: dict[int, int] = {s.root: enc.root_rank}
-    if not 0 <= enc.root_rank < a:
-        return None
-    used = {enc.root_rank}
-    for x in order[1:]:
-        r = ranks[s.successor[x]] + enc.signs[x] * (enc.gaps[x] + 1)
-        if not 0 <= r < a or r in used:
-            return None
-        ranks[x] = r
-        used.add(r)
-    return Layout(s.side, tuple(ranks[v] for v in range(a)))
-
-
-def encoding_from_layout(s: SpineMap, layout: Layout) -> CandidateEncoding:
-    """The unique encoding that decodes to this layout on this spine.
-
-    Inverse of decode_layout: gap is the rank displacement to the
-    successor minus one, sign its direction.  Decoding is injective, so
-    decode_layout(s, encoding_from_layout(s, l)) == l for any layout.
-    """
-    ranks = layout.ranks
-    gaps: dict[int, int] = {}
-    signs: dict[int, int] = {}
-    for x, t in s.successor.items():
-        delta = ranks[x] - ranks[t]
-        gaps[x] = abs(delta) - 1
-        signs[x] = 1 if delta > 0 else -1
-    return CandidateEncoding(gaps, signs, ranks[s.root])
 
 
 def _leaf_slack(g: BipartiteGraph, s: SpineMap) -> list[int]:
@@ -492,6 +434,7 @@ def enumerate_candidates(
     degrees, than limits.max_crossable_pairs: the tables hold one entry
     per such pair.
     """
+    _check_budget("k", k)
     a = g.side_count(side)
     check_depth(side, a)
     pairs = g.crossable_pair_count
@@ -606,13 +549,15 @@ def enumerate_candidates(
 def count_bound(a: int, k: int) -> int:
     """Closed-form ceiling on the candidate stream size: 2^(4k+2a-3) * 2^(a-1) * a.
 
-    Counting argument: at most C(4k+2a-3, 4k+a-1) <= 2^(4k+2a-3) gap
-    vectors within budget (weak compositions as bit strings), times
-    2^(a-1) sign vectors, times a root ranks.  Exact big-integer result;
-    requires a >= 2 so the exponent is non-negative.
+    Counting argument: a streamed layout is fixed by the rank of the
+    root and, per non-root vertex x, its gap and whether it lies left or
+    right of T(x) (module docstring, step 3).  There are at most
+    C(4k+2a-3, 4k+a-1) <= 2^(4k+2a-3) gap vectors within budget (weak
+    compositions as bit strings), times 2^(a-1) direction vectors, times
+    a root ranks.  Exact big-integer result; requires a >= 2 so the
+    exponent is non-negative, and k an int >= 0.
     """
     if a < 2:
         raise ValueError("count_bound requires a side of size >= 2")
-    if k < 0:
-        raise ValueError("crossing budget must be non-negative")
+    _check_budget("k", k)
     return (1 << (4 * k + 2 * a - 3)) * (1 << (a - 1)) * a

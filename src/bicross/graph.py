@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -26,24 +25,6 @@ class Side(Enum):
     @property
     def other(self) -> "Side":
         return Side.Y if self is Side.X else Side.X
-
-
-class VertexId(NamedTuple):
-    side: Side
-    index: int
-
-
-@dataclass(frozen=True)
-class SiblingPair:
-    """Two degree-one vertices sharing the same neighbor.
-
-    Both leaves necessarily live on the same side (the opposite side of
-    the parent), and ``leaf_a.index < leaf_b.index``.
-    """
-
-    leaf_a: VertexId
-    leaf_b: VertexId
-    parent: VertexId
 
 
 @dataclass(frozen=True)
@@ -157,13 +138,6 @@ class BipartiteGraph:
     def has_edge(self, x: int, y: int) -> bool:
         return (x, y) in self.weight
 
-    def is_leaf_edge(self, x: int, y: int) -> bool:
-        return len(self.x_adj[x]) == 1 or len(self.y_adj[y]) == 1
-
-    def is_leaf_edge_weighted(self) -> bool:
-        """True iff every edge whose endpoints both have degree >= 2 has weight 1."""
-        return all(w == 1 for x, y, w in self.edges if not self.is_leaf_edge(x, y))
-
 
 def _derived_graph(
     x_count: int, y_count: int, edges: tuple[tuple[int, int, int], ...], **known
@@ -202,6 +176,16 @@ def build_graph(
     return BipartiteGraph(x_count, y_count, tuple(edges))
 
 
+def _check_budget(name: str, value: object) -> None:
+    """Raise ValueError, naming the parameter, unless value is an int >= 0.
+
+    The exact type test of BipartiteGraph's counts: a bool, a float or a
+    numpy integer is refused even where it equals an int.
+    """
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+
+
 # -- connectivity ----------------------------------------------------------
 
 
@@ -222,11 +206,6 @@ def _union_find(g: BipartiteGraph) -> tuple[list[int], int]:
             parent[u] = v
             count -= 1
     return parent, count
-
-
-def is_connected(g: BipartiteGraph) -> bool:
-    """True iff all n vertices are mutually reachable (vacuously true for n <= 1)."""
-    return g.n <= 1 or g.component_count == 1
 
 
 @dataclass(frozen=True)
@@ -316,29 +295,30 @@ def split_components(g: BipartiteGraph) -> list[GraphComponent]:
 # -- sibling leaves --------------------------------------------------------
 
 
-def find_sibling_pairs(g: BipartiteGraph) -> list[SiblingPair]:
-    """Every unordered pair of degree-1 vertices attached to a common neighbor.
+def _leaf_groups(
+    parent_adj: tuple[tuple[int, ...], ...], leaf_adj: tuple[tuple[int, ...], ...]
+) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+    """The sibling leaves of one side, grouped by their common neighbour.
 
-    Ordered by parent (X-side leaf pairs first, i.e. parents on Y), then
-    by the leaf indices; empty iff the graph has no sibling pairs.
+    parent_adj holds the neighbours of each vertex of the other side and
+    leaf_adj those of each vertex of this side.  A vertex with two or
+    more degree-1 neighbours gives one group of them, ascending, keyed by
+    its smallest leaf, the representative; redirect maps every other
+    leaf of a group to its representative.  redirect is empty iff this
+    side has no sibling pair.
     """
-    pairs: list[SiblingPair] = []
-    for parent_side, parent_adj, leaf_adj in (
-        (Side.Y, g.y_adj, g.x_adj),
-        (Side.X, g.x_adj, g.y_adj),
-    ):
-        leaf_side = parent_side.other
-        for parent, nbrs in enumerate(parent_adj):
-            leaves = [v for v in nbrs if len(leaf_adj[v]) == 1]
-            for a, b in combinations(leaves, 2):
-                pairs.append(
-                    SiblingPair(
-                        VertexId(leaf_side, a),
-                        VertexId(leaf_side, b),
-                        VertexId(parent_side, parent),
-                    )
-                )
-    return pairs
+    redirect: dict[int, int] = {}
+    groups: dict[int, tuple[int, ...]] = {}
+    for nbrs in parent_adj:
+        if len(nbrs) < 2:
+            continue  # leaf parents own no sibling group
+        leaves = [v for v in nbrs if len(leaf_adj[v]) == 1]
+        if len(leaves) >= 2:
+            rep = leaves[0]
+            groups[rep] = tuple(leaves)
+            for other in leaves[1:]:
+                redirect[other] = rep
+    return redirect, groups
 
 
 @dataclass(frozen=True)
@@ -367,25 +347,8 @@ def sibling_merge(g: BipartiteGraph) -> MergeResult:
     bundle of parallel leaf edges would.  A graph with no sibling leaves
     is returned as it is, with singleton groups.
     """
-    x_deg = [len(nbrs) for nbrs in g.x_adj]
-    y_deg = [len(nbrs) for nbrs in g.y_adj]
-
-    def leaf_groups(parent_adj, leaf_deg):
-        redirect: dict[int, int] = {}
-        groups: dict[int, tuple[int, ...]] = {}
-        for nbrs in parent_adj:
-            if len(nbrs) < 2:
-                continue  # leaf parents own no sibling group
-            leaves = [v for v in nbrs if leaf_deg[v] == 1]
-            if len(leaves) >= 2:
-                rep = leaves[0]
-                groups[rep] = tuple(leaves)
-                for other in leaves[1:]:
-                    redirect[other] = rep
-        return redirect, groups
-
-    x_redirect, x_rep_groups = leaf_groups(g.y_adj, x_deg)
-    y_redirect, y_rep_groups = leaf_groups(g.x_adj, y_deg)
+    x_redirect, x_rep_groups = _leaf_groups(g.y_adj, g.x_adj)
+    y_redirect, y_rep_groups = _leaf_groups(g.x_adj, g.y_adj)
     if not x_redirect and not y_redirect:  # no sibling leaves: nothing to merge
         return MergeResult(
             g,
@@ -415,11 +378,6 @@ def sibling_merge(g: BipartiteGraph) -> MergeResult:
         tuple(x_rep_groups.get(x, (x,)) for x in keep_x),
         tuple(y_rep_groups.get(y, (y,)) for y in keep_y),
     )
-
-
-def merge_sibling_leaves(g: BipartiteGraph) -> BipartiteGraph:
-    """The sibling-merged graph (see sibling_merge for the index maps)."""
-    return sibling_merge(g).graph
 
 
 # -- pendant paths -----------------------------------------------------------

@@ -61,9 +61,10 @@ from .graph import (
     MergeResult,
     PathKernel,
     Side,
+    _check_budget,
+    _leaf_groups,
     _pendant_path_kernel,
     crossing_lower_bound,
-    find_sibling_pairs,
     is_caterpillar_forest,
     sibling_merge,
     split_components,
@@ -248,8 +249,7 @@ class CensusResult:
 
 def census(g: BipartiteGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> CensusResult:
     """Count all drawings of g with at most k crossings by exhaustive scan."""
-    if k < 0:
-        raise ValueError("crossing budget must be non-negative")
+    _check_budget("k", k)
     pairs = _scan_size(g, limits, "census")
     a, b = g.x_count, g.y_count
     count = 0
@@ -260,11 +260,14 @@ def census(g: BipartiteGraph, k: int, limits: Limits = DEFAULT_LIMITS) -> Census
                 count += 1
     side_bound_x = count_bound(a, k) if a >= 2 else 1
     side_bound_y = count_bound(b, k) if b >= 2 else 1
+    # a side has sibling leaves iff their grouping redirects one of them
+    x_redirect, _ = _leaf_groups(g.y_adj, g.x_adj)
+    y_redirect, _ = _leaf_groups(g.x_adj, g.y_adj)
     return CensusResult(
         count=count,
         bound=side_bound_x * side_bound_y,
         pairs_scanned=pairs,
-        sibling_free=not find_sibling_pairs(g),
+        sibling_free=not x_redirect and not y_redirect,
     )
 
 
@@ -692,8 +695,7 @@ def bcr_decide(
     witness are reported.  threads is accepted for compatibility and has
     no effect: the search runs on the calling thread.
     """
-    if k < 0:
-        raise ValueError("crossing budget must be non-negative")
+    _check_budget("k", k)
     return _solve_components(g, k, limits, ascend=False)
 
 
@@ -723,6 +725,5 @@ def bcr_exact(
     """
     if k_max is None:
         k_max = K_MAX_DEFAULT
-    if k_max < 0:
-        raise ValueError("k_max must be non-negative")
+    _check_budget("k_max", k_max)
     return _solve_components(g, k_max, limits, ascend=True)

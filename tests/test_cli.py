@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicross import BipartiteGraph, build_graph, drawing_from_ranks, identity_drawing
+from bicross import BipartiteGraph, build_graph, drawing_from_ranks
 from bicross.cli import (
     ParseError,
     emit_svg,
@@ -384,14 +384,14 @@ class TestSvg:
         assert svg.count("<line") == 4
 
     def test_single_edge(self):
-        svg = svg_string(identity_drawing(build_graph(1, 1, [(0, 0)])))
+        svg = svg_string(drawing_from_ranks(build_graph(1, 1, [(0, 0)]), range(1), range(1)))
         assert svg.count("<circle") == 2
         assert svg.count("<line") == 1
         assert "crossings: 0" in svg
 
     def test_weight_label(self):
         g = build_graph(1, 1, [(0, 0, 5)])
-        assert ">5</text>" in svg_string(identity_drawing(g))
+        assert ">5</text>" in svg_string(drawing_from_ranks(g, range(1), range(1)))
 
     def test_deterministic_bytes(self, tmp_path):
         d = drawing_from_ranks(c4(), (1, 0), (0, 1))

@@ -1,4 +1,4 @@
-"""Spine construction, encodings, and candidate layout enumeration."""
+"""Spine construction and candidate layout enumeration."""
 
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ from hypothesis import given, settings
 import bicross.enumeration as enumeration_mod
 from bicross import (
     BipartiteGraph,
-    CandidateEncoding,
     GraphError,
-    Layout,
     ResourceLimitError,
     Side,
     SpineMap,
@@ -24,8 +22,6 @@ from bicross import (
     build_spine,
     count_bound,
     crossing_number_fast,
-    decode_layout,
-    encoding_from_layout,
     enumerate_candidates,
     verify_spine,
 )
@@ -82,6 +78,8 @@ class TestBuildSpine:
                 s = build_spine(g, side, 0)
                 assert len(s.successor) == size - 1
                 assert verify_spine(g, s)
+                at = {v: i for i, v in enumerate(s.decode_order)}
+                assert all(at[t] < at[x] for x, t in s.successor.items())
 
     def test_every_root_verifies(self):
         rng = random.Random(43)
@@ -146,38 +144,6 @@ class TestVerifySpine:
         s = SpineMap(Side.X, 0, {1: 0, 2: 0, 3: 0}, {1: 0, 2: 0, 3: 0})
         # edge (x0, y0) lies on three witness paths
         assert not verify_spine(g, s)
-
-
-class TestDecode:
-    def test_minimal_two_vertex_side(self):
-        s = SpineMap(Side.X, 0, {1: 0}, {1: 0})
-        enc = CandidateEncoding({1: 0}, {1: 1}, 0)
-        assert decode_layout(s, enc) == Layout(Side.X, (0, 1))
-
-    def test_collision_returns_none(self):
-        s = SpineMap(Side.X, 0, {1: 0, 2: 0}, {1: 0, 2: 0})
-        enc = CandidateEncoding({1: 0, 2: 0}, {1: 1, 2: 1}, 0)
-        assert decode_layout(s, enc) is None  # both children decode to rank 1
-
-    def test_out_of_range_returns_none(self):
-        s = SpineMap(Side.X, 0, {1: 0}, {1: 0})
-        assert decode_layout(s, CandidateEncoding({1: 0}, {1: -1}, 0)) is None
-        assert decode_layout(s, CandidateEncoding({1: 5}, {1: 1}, 0)) is None
-
-    def test_round_trip_random(self):
-        rng = random.Random(47)
-        for _ in range(30):
-            a, b, edges = random_connected_graph(rng, max_n=10)
-            g = BipartiteGraph(a, b, tuple(edges))
-            if a < 2:
-                continue
-            s = build_spine(g, Side.X, 0)
-            for _ in range(20):
-                layout = Layout(Side.X, tuple(rng.sample(range(a), a)))
-                enc = encoding_from_layout(s, layout)
-                assert decode_layout(s, enc) == layout
-                # decoding then re-deriving reproduces the encoding
-                assert encoding_from_layout(s, decode_layout(s, enc)) == enc
 
 
 class TestEnumerate:

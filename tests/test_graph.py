@@ -11,14 +11,9 @@ from hypothesis import strategies as st
 from bicross import (
     BipartiteGraph,
     GraphError,
-    Side,
-    VertexId,
     build_graph,
     crossing_lower_bound,
-    find_sibling_pairs,
     is_caterpillar_forest,
-    is_connected,
-    merge_sibling_leaves,
     sibling_merge,
     split_components,
 )
@@ -27,6 +22,7 @@ from util import (
     exhaustive_connected_graphs,
     has_sibling_pair,
     inject_sibling_leaves,
+    is_connected_triple,
     random_connected_graph,
     random_disconnected_graph,
     reference_bcr,
@@ -114,11 +110,6 @@ class TestBuildGraph:
     def test_weight_defaults_to_one(self):
         g = build_graph(1, 2, [(0, 0), (0, 1, 4)])
         assert g.weight == {(0, 0): 1, (0, 1): 4}
-
-    def test_leaf_edge_weighted_predicate(self):
-        assert build_graph(1, 1, [(0, 0, 7)]).is_leaf_edge_weighted()
-        g = build_graph(2, 2, [(0, 0, 2), (0, 1), (1, 0), (1, 1)])
-        assert not g.is_leaf_edge_weighted()  # (x0,y0) joins two degree-2 vertices
 
 
 @st.composite
@@ -252,13 +243,14 @@ class TestComponents:
         assert sum(isolated(g) == (True, True) for g in graphs) >= 40
 
     def test_is_connected(self):
-        assert is_connected(c4())
-        assert not is_connected(build_graph(2, 2, [(0, 0), (1, 1)]))
-        assert is_connected(build_graph(1, 0, []))
-        assert is_connected(build_graph(0, 0, []))
+        assert c4().component_count == 1
+        assert build_graph(2, 2, [(0, 0), (1, 1)]).component_count == 2
+        assert build_graph(1, 0, []).component_count == 1
+        assert build_graph(0, 0, []).component_count == 0
         graphs = disconnected_graphs()
         for g in graphs:
-            assert is_connected(g) == (len(split_components(g)) <= 1)
+            connected = is_connected_triple(g.x_count, g.y_count, g.edges)
+            assert connected == (g.component_count <= 1) == (len(split_components(g)) <= 1)
         # the inputs cover isolated vertices on each side and empty sides
         assert sum(isolated(g) == (True, True) for g in graphs) >= 20
         assert sum(0 in (g.x_count, g.y_count) for g in graphs) >= 10
@@ -340,7 +332,7 @@ class TestSplitViews:
                 fresh = BipartiteGraph(h.x_count, h.y_count, h.edges)
                 assert (h.x_adj, h.y_adj) == (fresh.x_adj, fresh.y_adj)
                 assert h.component_count == fresh.component_count == 1
-                assert is_connected(h) and is_connected(fresh)
+                assert is_connected_triple(h.x_count, h.y_count, h.edges)
                 assert is_caterpillar_forest(h) == is_caterpillar_forest(fresh)
                 assert crossing_lower_bound(h) == crossing_lower_bound(fresh)
                 lone += h.n == 1
@@ -367,34 +359,18 @@ class TestSplitViews:
         assert vars(g).keys() == {"x_count", "y_count", "edges"}  # nothing cached on the input
 
 
-class TestSiblingPairs:
-    def test_star_has_all_leaf_pairs(self):
-        assert len(find_sibling_pairs(star(5))) == 10
-
-    def test_c4_has_none(self):
-        assert find_sibling_pairs(c4()) == []
-
-    def test_short_path_pair(self):
-        g = build_graph(2, 1, [(0, 0), (1, 0)])
-        pairs = find_sibling_pairs(g)
-        assert len(pairs) == 1
-        assert pairs[0].leaf_a == VertexId(Side.X, 0)
-        assert pairs[0].leaf_b == VertexId(Side.X, 1)
-        assert pairs[0].parent == VertexId(Side.Y, 0)
-
-
 class TestMerge:
     def test_star_becomes_single_weighted_edge(self):
-        merged = merge_sibling_leaves(star(5))
+        merged = sibling_merge(star(5)).graph
         assert merged.edges == ((0, 0, 5),)
 
     def test_c4_unchanged(self):
-        assert merge_sibling_leaves(c4()) == c4()
+        assert sibling_merge(c4()).graph == c4()
 
     def test_weighted_leaves_sum(self):
         # x0 carries leaves y0 (weight 2) and y1 (weight 3) plus non-leaf y2
         g = build_graph(2, 3, [(0, 0, 2), (0, 1, 3), (0, 2), (1, 2)])
-        merged = merge_sibling_leaves(g)
+        merged = sibling_merge(g).graph
         assert merged.edges == ((0, 0, 5), (0, 1, 1), (1, 1, 1))
         # crossing number is untouched: both optima are 0 by full scan
         assert reference_bcr(2, 3, g.edges) == 0
@@ -424,15 +400,20 @@ class TestMerge:
         assert sibling_merge(g).graph is g
 
     def test_idempotent_and_sibling_free(self):
+        def inner_weights_one(h):  # every edge between two non-leaves has weight 1
+            return all(
+                w == 1 for x, y, w in h.edges if len(h.x_adj[x]) > 1 and len(h.y_adj[y]) > 1
+            )
+
         rng = random.Random(11)
         for _ in range(60):
             triple = random_connected_graph(rng, max_n=9)
             a, b, edges = inject_sibling_leaves(rng, triple, max_n=11)
             g = BipartiteGraph(a, b, tuple(edges))
-            merged = merge_sibling_leaves(g)
-            assert find_sibling_pairs(merged) == []
-            assert merge_sibling_leaves(merged) == merged
-            assert merged.is_leaf_edge_weighted() or not g.is_leaf_edge_weighted()
+            merged = sibling_merge(g).graph
+            assert not has_sibling_pair(merged.x_count, merged.y_count, merged.edges)
+            assert sibling_merge(merged).graph == merged
+            assert inner_weights_one(merged) or not inner_weights_one(g)
 
     def test_merge_preserves_bcr_small(self):
         rng = random.Random(13)
@@ -440,7 +421,7 @@ class TestMerge:
             a, b, edges = inject_sibling_leaves(
                 rng, random_connected_graph(rng, max_n=7), max_n=9
             )
-            merged = merge_sibling_leaves(BipartiteGraph(a, b, tuple(edges)))
+            merged = sibling_merge(BipartiteGraph(a, b, tuple(edges))).graph
             assert reference_bcr(a, b, edges) == reference_bcr(
                 merged.x_count, merged.y_count, merged.edges
             )

@@ -10,10 +10,12 @@ import textwrap
 from itertools import permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bicross.enumeration as enumeration_mod
 import bicross.graph as graph_mod
 import bicross.solver as solver_mod
 from bicross import (
@@ -25,11 +27,11 @@ from bicross import (
     bcr_exact,
     build_graph,
     census,
+    count_bound,
     crossing_lower_bound,
     crossing_number_fast,
     drawing_from_ranks,
     enumerate_candidates,
-    find_sibling_pairs,
     is_caterpillar_forest,
     sibling_merge,
     split_components,
@@ -38,6 +40,7 @@ from bicross.drawing import Drawing, layout_from_sequence
 from bicross.limits import Limits
 from util import (
     connected_graph_classes,
+    has_sibling_pair,
     inject_sibling_leaves,
     random_caterpillar,
     random_connected_graph,
@@ -166,6 +169,22 @@ class TestCensus:
         assert res.sibling_free is False
         assert res.count <= res.bound
 
+    def test_sibling_free_matches_the_reference(self):
+        classes = list(connected_graph_classes(3, 3))
+        graphs = [BipartiteGraph(a, b, tuple(e)) for a, b, e in classes]
+        # two components side by side: the second one's labels come after the first's
+        small = [(a, b, e) for a, b, e in classes if a <= 2 and b <= 2]
+        for a, b, e in small:
+            for a2, b2, e2 in small:
+                moved = [(a + x, b + y, w) for x, y, w in e2]
+                graphs.append(BipartiteGraph(a + a2, b + b2, tuple(e + moved)))
+        free = 0
+        for g in graphs:
+            want = not has_sibling_pair(g.x_count, g.y_count, g.edges)
+            assert census(g, 0).sibling_free is want, g.edges
+            free += want
+        assert 0 < free < len(graphs)
+
     def test_size_guard(self):
         with pytest.raises(ResourceLimitError, match="census"):
             census(star(9), 0)
@@ -257,7 +276,7 @@ class TestCaterpillarFastPath:
         rng = random.Random(31)
         caterpillars = [BipartiteGraph(*random_caterpillar(rng)) for _ in range(200)]
         for g in caterpillars:
-            assert find_sibling_pairs(g)
+            assert has_sibling_pair(g.x_count, g.y_count, g.edges)
         return fixed + classes + caterpillars
 
     def test_merge_does_not_change_the_answer_or_the_witness(self):
@@ -380,6 +399,31 @@ class TestDecide:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             bcr_decide(c4(), -1)
+
+    @pytest.mark.parametrize(
+        "bad", [True, 1.5, 2.0, np.int64(1), -1], ids=["bool", "float", "2.0", "numpy", "-1"]
+    )
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("k", lambda k: bcr_decide(c4(), k)),
+            ("k_max", lambda k: bcr_exact(c4(), k)),
+            ("k", lambda k: census(c4(), k)),
+            ("k", lambda k: list(enumerate_candidates(c4(), Side.X, k))),
+            ("k", lambda k: count_bound(2, k)),
+        ],
+        ids=["bcr_decide", "bcr_exact", "census", "enumerate_candidates", "count_bound"],
+    )
+    def test_budget_must_be_an_exact_int(self, monkeypatch, name, call, bad):
+        # the same exact type test as BipartiteGraph's counts, before any work
+        def work(*args):
+            raise AssertionError("the solve started")
+
+        monkeypatch.setattr(solver_mod, "split_components", work)
+        monkeypatch.setattr(solver_mod, "_scan_size", work)
+        monkeypatch.setattr(enumeration_mod, "build_spine", work)
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative int, got"):
+            call(bad)
 
 
 class TestLargeBudgets:
