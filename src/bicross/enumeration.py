@@ -40,7 +40,9 @@ the graph is connected and free of sibling pairs.  The mechanism:
    from its parent's.  At most a - 1 vertices have l(x) = 1, so the raw
    gaps still sum to at most 4k + a - 1: the stream is a subset of the
    orders that count_bound counts by those (root rank, gaps, directions)
-   choices.  That total is not capped; the walk's one guard is
+   choices.  The gap vectors whose sum is at most 4k + a - 1, not only
+   those whose sum is exactly that, number C(4k+2a-2, a-1) <=
+   2^(4k+2a-2).  That total is not capped; the walk's one guard is
    Limits.max_walk_nodes.
 
 4. The same walk also cuts on the one-sided crossing bound (Juenger and
@@ -547,17 +549,19 @@ def enumerate_candidates(
 
 
 def count_bound(a: int, k: int) -> int:
-    """Closed-form ceiling on the candidate stream size: 2^(4k+2a-3) * 2^(a-1) * a.
+    """Closed-form ceiling on the candidate stream size: 2^(4k+2a-2) * 2^(a-1) * a.
 
     Counting argument: a streamed layout is fixed by the rank of the
     root and, per non-root vertex x, its gap and whether it lies left or
-    right of T(x) (module docstring, step 3).  There are at most
-    C(4k+2a-3, 4k+a-1) <= 2^(4k+2a-3) gap vectors within budget (weak
-    compositions as bit strings), times 2^(a-1) direction vectors, times
-    a root ranks.  Exact big-integer result; requires a >= 2 so the
-    exponent is non-negative, and k an int >= 0.
+    right of T(x) (module docstring, step 3).  The a - 1 gaps are
+    non-negative and sum to at most S = 4k + a - 1; adding a slack term
+    makes the sum exactly S, so there are C(S + a - 1, a - 1) =
+    C(4k+2a-2, a-1) <= 2^(4k+2a-2) gap vectors within budget, times
+    2^(a-1) direction vectors, times a root ranks.  Exact big-integer
+    result; requires a >= 2 so the exponent is non-negative, and k an
+    int >= 0.
     """
     if a < 2:
         raise ValueError("count_bound requires a side of size >= 2")
     _check_budget("k", k)
-    return (1 << (4 * k + 2 * a - 3)) * (1 << (a - 1)) * a
+    return (1 << (4 * k + 2 * a - 2)) * (1 << (a - 1)) * a

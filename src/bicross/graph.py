@@ -442,8 +442,9 @@ def _pendant_path_kernel(g: BipartiteGraph, budget: int) -> PathKernel:
     K >= 2, so p1 keeps degree 2 and the kernel's new leaf pK hangs off
     p(K-1), whose other neighbour (v, or a vertex of degree 2) is no leaf:
     the kernel stays connected, free of sibling pairs and not a
-    caterpillar (every vertex keeps its non-leaf neighbours), and
-    m - n + 1 does not change.  When nothing is cut the kernel is g
+    caterpillar (every vertex keeps its non-leaf neighbours), and its
+    2-core, m - n + 1 and crossing_lower_bound do not change.  When
+    nothing is cut the kernel is g
     itself, with identity index maps.
     """
     keep = 2 * budget + 2
@@ -500,14 +501,131 @@ def _pendant_path_kernel(g: BipartiteGraph, budget: int) -> PathKernel:
 
 
 def crossing_lower_bound(g: BipartiteGraph) -> int:
-    """max(0, m - n + c): a guaranteed lower bound on the crossing number.
+    """A guaranteed lower bound on the crossing number, summed over components.
 
-    Any drawing with t crossings contains a crossing-free subgraph on
-    m - t edges (drop one edge per crossing); crossing-free two-layer
-    graphs are forests, so m - t <= n - c.  Weighted crossings only cost
-    more, so the bound holds for weighted graphs too.
+    Per connected component it is max(m - n + 1, sum(L_i - 1) + mu(rest)),
+    where C_1 ... C_r are edge-disjoint cycles of lengths 2 L_i, the rest
+    is the component less their edges, and mu(H) = m(H) - n(H) + c(H).
+    A tree reads 0, and C_2L reads L - 1, its crossing number.
+
+    * Forests: a drawing of H with t crossings keeps a crossing-free
+      subgraph on m - t edges (drop one edge per crossing), and
+      crossing-free two-layer graphs are forests, so t >= mu(H).
+    * Cycles: bcr(C_2L) >= L - 1, by induction.  C4 = K2,2 crosses once
+      in every drawing.  For L >= 3 take the rightmost X vertex x, its
+      neighbours y left of y', and x', the other neighbour of y'.
+      Deleting x and y' and joining x' to y gives a drawing of C_2L-2.
+      An edge (a, b) that crosses x'y has a left of x' and b right of y,
+      so it crossed xy, or a right of x' and b left of y < y', so it
+      crossed x'y'; and xy crosses x'y', since x' is left of x and y' is
+      right of y.  So the old drawing had at least one more crossing.
+    * Sums: a drawing of g draws every subgraph, and the edge pairs
+      inside different edge-disjoint subgraphs (or components) are
+      different pairs.  Every weight is at least 1, so every term holds
+      for weighted graphs too and the terms add.
+
+    The cycles are the cycle chains of Schmidt's chain decomposition
+    (IPL 2013), found in one depth-first search of the 2-core: per
+    vertex u in preorder and per back edge from u down to w, climb the
+    tree from w until a vertex already climbed; the chain is a cycle iff
+    that vertex is u.  Chains never share an edge, each edge is climbed
+    once, and mu(rest) is the number of back edges off the cycles that
+    close a cycle in the forest of tree edges off the cycles.  So the
+    time is linear in m, up to the union-find on those back edges.
+    Trees hanging off the 2-core add nothing to any term, and the search
+    starts at the 2-core's lowest X index (else Y) and takes neighbours
+    in ascending order, so sibling_merge and _pendant_path_kernel, which
+    keep the 2-core and relabel it monotonically, keep the bound.
     """
-    return max(0, g.m - g.n + g.component_count)
+    mu = g.m - g.n + g.component_count
+    if not mu:
+        return 0  # a forest
+    xc = g.x_count
+    adj = [[xc + y for y in nbrs] for nbrs in g.x_adj]
+    adj += g.y_adj
+    n = len(adj)
+    # peel vertices of degree <= 1: the 2-core is what keeps degree >= 2
+    degree = list(map(len, adj))
+    peeled = [v for v in range(n) if degree[v] < 2]
+    for v in peeled:  # the list grows while it is read
+        for w in adj[v]:
+            degree[w] -= 1
+            if degree[w] == 1:
+                peeled.append(w)
+    if mu == 1:  # one cycle in all: the 2-core is that cycle
+        return max(1, (n - len(peeled)) // 2 - 1)
+    dfi = [-1] * n  # preorder index, -1 until reached
+    parent = [-1] * n
+    climbed = [False] * n
+    top = [-1] * n  # union-find over the trees of tree edges off the cycles
+    total = 0
+    for root in range(n):
+        if degree[root] < 2 or dfi[root] >= 0:
+            continue
+        # depth-first search of root's part of the 2-core; downs[u] lists
+        # the descendants w with a back edge to u
+        order = [root]
+        dfi[root] = 0
+        downs: dict[int, list[int]] = {}
+        v, nbrs, saved = root, iter(adj[root]), []
+        while True:
+            for w in nbrs:
+                if degree[w] < 2:
+                    continue
+                if dfi[w] < 0:
+                    dfi[w] = len(order)
+                    order.append(w)
+                    parent[w] = v
+                    saved.append(nbrs)
+                    v, nbrs = w, iter(adj[w])
+                    break
+                if dfi[w] < dfi[v] and w != parent[v]:
+                    downs.setdefault(w, []).append(v)
+            else:
+                if not saved:
+                    break
+                v, nbrs = parent[v], saved.pop()
+        backs = disjoint = 0  # m - n + 1, and sum(L_i - 1) + mu(rest)
+        rest: list[tuple[int, int]] = []  # back edges off the cycles
+        on_cycle: list[int] = []  # vertices whose tree edge lies on a cycle
+        for u in order:
+            climbed[u] = True
+            for w in downs.get(u, ()):
+                backs += 1
+                chain = []
+                v = w
+                while not climbed[v]:
+                    climbed[v] = True
+                    chain.append(v)
+                    v = parent[v]
+                if v == u:  # a cycle of len(chain) + 1 edges
+                    disjoint += (len(chain) + 1) // 2 - 1
+                    on_cycle += chain
+                else:
+                    rest.append((u, w))
+        if rest:
+            # point each vertex at the top of its tree in the forest of
+            # tree edges off the cycles (preorder reaches parents first),
+            # then count the back edges that union-find cannot merge
+            for v in on_cycle:
+                top[v] = v
+            top[root] = root
+            for v in order[1:]:
+                if top[v] != v:
+                    top[v] = top[parent[v]]
+            closed = len(rest)
+            for u, w in rest:
+                u, w = top[u], top[w]
+                while top[u] != u:
+                    top[u] = u = top[top[u]]
+                while top[w] != w:
+                    top[w] = w = top[top[w]]
+                if u != w:
+                    top[u] = w
+                    closed -= 1
+            disjoint += closed
+        total += max(backs, disjoint)
+    return total
 
 
 def is_caterpillar_forest(g: BipartiteGraph) -> bool:

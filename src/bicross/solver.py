@@ -1,23 +1,27 @@
 """Exact crossing-number solving.
 
-Per connected component the pipeline is: answer 0 for caterpillars,
-merge sibling leaves, and reject when the lower bound max(1, m - n + 1)
-already exceeds the budget (caterpillars are exactly the graphs with
-bcr 0, so every other component needs a crossing).  Otherwise, for each
-budget t searched, cut every pendant path to 2t + 2 edges (the kernel of
-bicross.graph._pendant_path_kernel, whose optimum is the merged graph's
-whenever that is at most t), enumerate the candidate layouts of the
-kernel's smaller side (X on a tie), and for each candidate solve the
-other side exactly.  The winning rank pair is lifted in one step to
-vertex orders of the component: an uncrossed ladder regrows each cut
-path, and then each merged vertex is replaced by its leaves.  The orders
-of all components become the one Drawing of the solve, which is
-recounted before it is returned.  The budget handed to the enumeration
-is first capped at the crossing count of the identity drawing, which
-the optimum cannot exceed: the weighted inversions of the merged
-graph's sorted edges, with no Drawing built.  Work is counted in one
-record, SolveStats: the counts of each search add up over the budgets
-of a component, then over the components.
+Before any search, every connected component gets a floor: 0 for a
+caterpillar, else max(1, crossing_lower_bound) of its sibling-merged
+graph (caterpillars are exactly the graphs with bcr 0, so every other
+component needs a crossing; the bound sums edge-disjoint cycles of the
+2-core, see bicross.graph.crossing_lower_bound).  When the floors sum
+past the budget the answer is "no" at once.  Otherwise each component
+is searched with the budget less the optima before it and the floors
+after it.  Caterpillars are answered 0.  For every other component and
+each budget t searched, cut every pendant path to 2t + 2 edges (the
+kernel of bicross.graph._pendant_path_kernel, whose optimum is the
+merged graph's whenever that is at most t), enumerate the candidate
+layouts of the kernel's smaller side (X on a tie), and for each
+candidate solve the other side exactly.  The winning rank pair is
+lifted in one step to vertex orders of the component: an uncrossed
+ladder regrows each cut path, and then each merged vertex is replaced
+by its leaves.  The orders of all components become the one Drawing of
+the solve, which is recounted before it is returned.  The budget handed
+to the enumeration is first capped at the crossing count of the
+identity drawing, which the optimum cannot exceed: the weighted
+inversions of the merged graph's sorted edges, with no Drawing built.
+Work is counted in one record, SolveStats: the counts of each search
+add up over the budgets of a component, then over the components.
 
 The search is complete.  The candidate stream of the first side holds
 the layout of every drawing with at most budget crossings (see
@@ -126,8 +130,9 @@ class SolveReport:
     optimum is None when it exceeds the budget; a witness drawing is
     attached exactly on "yes" and its recount equals the optimum.
     method is "fastpath" when every component was settled by the
-    caterpillar or lower-bound shortcuts, and "fpt-enum" when at least
-    one candidate enumeration ran (exactly when stats.kernel_edges > 0).
+    caterpillar test or by the summed lower bounds, and "fpt-enum" when
+    at least one candidate enumeration ran (exactly when
+    stats.kernel_edges > 0).
     """
 
     decision: str
@@ -550,61 +555,62 @@ def _search(
 
 
 def _solve_component(
-    g: BipartiteGraph, budgets: range, limits: Limits
+    g: BipartiteGraph,
+    budgets: range,
+    limits: Limits,
+    lb: int,
+    mr: MergeResult | None,
 ) -> tuple[int | None, tuple[list[int], list[int]] | None, SolveStats]:
     """Optimum of the connected graph g if it is at most budgets[-1].
 
-    Returns (value, orders, stats): the optimum and the X and Y vertex
-    orders, left to right, of a drawing of g that attains it, or
-    (None, None) when the optimum exceeds budgets[-1].  No Drawing is
-    built here: _solve_components composes the orders of every component
-    into the one witness of the solve.
+    lb is g's floor and mr its sibling merge (None for a caterpillar),
+    which _solve_components computed once, making sure that lb <=
+    budgets[-1].  Returns (value, orders, stats): the optimum and the X
+    and Y vertex orders, left to right, of a drawing of g that attains
+    it, or (None, None) when the optimum exceeds budgets[-1].  No
+    Drawing is built here: _solve_components composes the orders of
+    every component into the one witness of the solve.
     budgets is the ascending run lo..hi to try: one budget for a decision
     (lo = hi), the whole ascent for an exact solve (lo = 0).  The search
     stops at the first budget whose best pair fits it; the search is
     complete for drawings within that budget, so that pair's count is
-    the optimum.  The set-up below runs once per call; only the
+    the optimum.  The budget cap below runs once per call; only the
     pendant-path kernel, enumeration and second-side searches repeat
     per budget.
     stats adds up the counts of every search, plus the edge count of the
     last kernel searched; it is all zeros when no search ran.
 
-    Caterpillars are answered 0 on g itself, before any merge, with the
-    outcome the merged graph would give.  The sibling merge preserves bcr
-    and caterpillars are exactly the graphs with bcr 0, so g is one iff
-    its merge is.  The merge keeps every spine vertex and the order among
+    Caterpillars (mr is None) are answered 0 on g itself, with the
+    outcome the merged graph would give.  The sibling merge preserves
+    bcr and caterpillars are exactly the graphs with bcr 0, so g is one
+    iff its merge is.  The merge keeps every spine vertex and the order among
     them, except that a star becomes a lone edge, whose one drawing
     expands to the star's.  Merged leaves expand in ascending order in
     place of their representative, the smallest of them.  So the spine
     walk of _caterpillar_orders on g lays out the witness that the walk
     on the merged graph, expanded, would.
 
-    Every other component has bcr >= 1, so it is merged and rejected when
-    max(1, m - n + 1) exceeds hi.  Otherwise each budget t from
-    max(lo, that bound) up searches the pendant-path kernel of the merged
-    graph at t, whose optimum is the merged graph's whenever that is at
-    most t (see _pendant_path_kernel).  The witness is _lift_orders of
-    the lexicographically first optimal rank pair of the kernel built at
-    the optimum c, so it does not depend on the budget: the ascent stops at
-    t = c, and a decision at t > c searches once more at c when that
-    kernel is smaller, that is when some pendant path is longer than
-    2c + 2 edges.
+    Every other component searches each budget t from max(lo, lb) up on
+    the pendant-path kernel of the merged graph at t, whose optimum is
+    the merged graph's whenever that is at most t (see
+    _pendant_path_kernel).  The kernel keeps the merged graph's 2-core,
+    so lb is a lower bound on the kernel's optimum too.  The witness is
+    _lift_orders of the lexicographically first optimal rank pair of the
+    kernel built at the optimum c, so it does not depend on the budget:
+    the ascent stops at t = c, and a decision at t > c searches once
+    more at c when that kernel is smaller, that is when some pendant
+    path is longer than 2c + 2 edges.
 
     The budget loop below always runs at least once: lb <= hi, and
     lb <= bcr(h) <= cap.  So a component reaches enumeration exactly
     when stats.kernel_edges > 0 (a kernel is never a caterpillar, so it
     has a cycle or a vertex of degree 3 and at least 4 edges).
     """
-    if is_caterpillar_forest(g):
+    if mr is None:
         return 0, _caterpillar_orders(g), _NO_WORK
 
-    mr = sibling_merge(g)
     h = mr.graph
-    lb = max(1, crossing_lower_bound(h))
     hi = budgets[-1]
-    if lb > hi:
-        return None, None, _NO_WORK
-
     # the optimum is at most any drawing's count, so a larger budget admits
     # no further optimal pair; the cap keeps the walk's budget, and so its
     # nodes, small.  h's sorted edges are its identity drawing.
@@ -638,29 +644,55 @@ def _solve_components(
 ) -> SolveReport:
     """Solve the components of g in order against the budget k they share.
 
-    Each component gets the budget left over from its predecessors'
-    optima, in one _solve_component call.  Without ascend it is solved at
-    that budget alone; with ascend at every budget from its lower bound
-    (see _solve_component) up to that one, stopping at the first that
+    First every component with an edge gets its floor, a lower bound on
+    its optimum, before any search: 0 for a caterpillar, else max(1,
+    crossing_lower_bound) of its sibling merge (caterpillars are exactly
+    the graphs with bcr 0, and the merge preserves bcr).  This is the one
+    place where the caterpillar test, the merge and the bound run for a
+    component.  A component without edges, an isolated vertex, is
+    settled here: its one drawing has no crossings and adds no work to
+    the stats.  When the floors sum past k the answer is "no" at once.
+    Otherwise each component, in one _solve_component call, gets k less
+    the optima before it and the floors after it: a larger optimum
+    would push the sum past k whatever the later components need.  That
+    budget is never below the component's own floor, since every optimum
+    before it fitted the budget it was given.  Without ascend the
+    component is solved at that budget alone; with ascend at every
+    budget from its floor up to that one, stopping at the first that
     admits a drawing, which is then its optimum.  The search either way
     stops at the first component whose optimum exceeds its budget.  A
-    component without edges, an isolated vertex, is settled here: its one
-    drawing has no crossings and adds no work to the stats.  A "yes"
-    report carries k itself, or the summed optimum with ascend.
+    "yes" report carries k itself, or the summed optimum with ascend.
     stats are the component count plus the stats of every component
-    solved, and method is "fpt-enum" iff their kernel_edges is positive.
+    solved, and method is "fpt-enum" iff their kernel_edges is positive,
+    so a "no" settled by the floors reads "fastpath".
     """
     parts = split_components(g)
     stats = SolveStats(len(parts), 0, 0, 0, 0, 0)
-    solved: list[tuple[GraphComponent, tuple[list[int], list[int]]]] = []
-    remaining = k
+    floors: list[tuple[int, MergeResult | None] | None] = []
     for part in parts:
         h = part.graph
         if not h.m:
+            floors.append(None)
+        elif is_caterpillar_forest(h):
+            floors.append((0, None))
+        else:
+            mr = sibling_merge(h)
+            floors.append((max(1, crossing_lower_bound(mr.graph)), mr))
+    later = sum(floor for floor, _ in filter(None, floors))
+    if later > k:
+        return _checked(SolveReport("no", None, None, stats, "fastpath", k))
+    solved: list[tuple[GraphComponent, tuple[list[int], list[int]]]] = []
+    remaining = k
+    for part, setup in zip(parts, floors):
+        h = part.graph
+        if setup is None:
             solved.append((part, _caterpillar_orders(h)))
             continue
-        budgets = range(0 if ascend else remaining, remaining + 1)
-        value, orders, found = _solve_component(h, budgets, limits)
+        lb, mr = setup
+        later -= lb
+        hi = remaining - later
+        budgets = range(0 if ascend else hi, hi + 1)
+        value, orders, found = _solve_component(h, budgets, limits, lb, mr)
         stats += found
         if value is None:
             break
@@ -687,12 +719,14 @@ def bcr_decide(
     """Decide whether g has a drawing with at most k crossings.
 
     Components are solved in order, each against the budget left over
-    from its predecessors.  Optimal drawings never interleave components
-    (pushing a whole component's vertices together on both layers only
-    removes crossings), so the crossing number is additive and the
-    sequential allocation is exact: the answer is yes iff the summed
-    component optima fit in k, and then the optimum and a composite
-    witness are reported.  threads is accepted for compatibility and has
+    from its predecessors less the floors of the components after it.
+    Optimal drawings never interleave components (pushing a whole
+    component's vertices together on both layers only removes
+    crossings), so the crossing number is additive and the sequential
+    allocation is exact: the answer is yes iff the summed component
+    optima fit in k, and then the optimum and a composite witness are
+    reported.  When the floors alone sum past k the answer is "no"
+    before any search, with method "fastpath".  threads is accepted for compatibility and has
     no effect: the search runs on the calling thread.
     """
     _check_budget("k", k)
@@ -708,12 +742,14 @@ def bcr_exact(
     """Smallest k admitting a drawing, searched up to k_max (default K_MAX_DEFAULT, 32).
 
     The graph is split once and each component is solved to its optimum
-    once, by raising its budget one step at a time from its lower bound
-    max(1, m - n + 1) (caterpillars are answered 0 at once), never past
-    what k_max leaves after the optima before it; by additivity (see
-    bcr_decide) the optima sum to the crossing number.  The report
-    carries that k (decision "yes", optimum = k) or decision "no" at
-    k = k_max once some component's ascent runs out of budget.  Each
+    once, by raising its budget one step at a time from its floor
+    max(1, crossing_lower_bound) (caterpillars are answered 0 at once),
+    never past what k_max leaves after the optima before it and the
+    floors after it; by additivity (see bcr_decide) the optima sum to
+    the crossing number.  The report carries that k (decision "yes",
+    optimum = k) or decision "no" at k = k_max, at once when the floors
+    sum past k_max or else once some component's ascent runs out of
+    budget.  Each
     budget t searches the pendant-path kernel at t, so the ascent stops
     at the optimum c with the kernel built at c.
     Decision, optimum, k, method and witness are those of

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -625,16 +625,29 @@ class TestWeightedWalk:
 
 class TestCountBound:
     def test_values(self):
-        assert count_bound(3, 1) == 1536
-        assert count_bound(2, 0) == 8
+        # 2^(4k+2a-2) * 2^(a-1) * a: 2^8 * 4 * 3 and 2^2 * 2 * 2; at a = 2,
+        # k = 0 the one gap may be 0 or 1, two vectors, not C(1, 1) = 1
+        assert count_bound(3, 1) == 3072
+        assert count_bound(2, 0) == 16
 
     def test_small_side_rejected(self):
         with pytest.raises(ValueError):
             count_bound(1, 0)
 
+    def test_counts_every_gap_vector_within_budget(self):
+        # the a - 1 gaps of a streamed layout sum to at most 4k + a - 1,
+        # not exactly to it: count those vectors one by one
+        for a in range(2, 6):
+            for k in range(3):
+                budget = 4 * k + a - 1
+                vectors = sum(
+                    sum(gaps) <= budget
+                    for gaps in product(range(budget + 1), repeat=a - 1)
+                )
+                assert vectors == math.comb(4 * k + 2 * a - 2, a - 1)
+                assert vectors * 2 ** (a - 1) * a <= count_bound(a, k)
+
     def test_binomial_within_power(self):
         for a in range(2, 13):
             for k in range(0, 13):
-                assert math.comb(4 * k + 2 * a - 3, 4 * k + a - 1) <= (
-                    1 << (4 * k + 2 * a - 3)
-                )
+                assert math.comb(4 * k + 2 * a - 2, a - 1) <= 1 << (4 * k + 2 * a - 2)

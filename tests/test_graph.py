@@ -19,6 +19,7 @@ from bicross import (
 )
 from bicross.graph import _pendant_path_kernel
 from util import (
+    connected_graph_classes,
     exhaustive_connected_graphs,
     has_sibling_pair,
     inject_sibling_leaves,
@@ -27,6 +28,8 @@ from util import (
     random_disconnected_graph,
     reference_bcr,
     reference_crossable_pairs,
+    scan_bcr,
+    with_pendant_path,
 )
 
 
@@ -427,6 +430,39 @@ class TestMerge:
             )
 
 
+def cycle(n: int) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """C_2n as a triple: x_i - y_i - x_(i+1), indices mod n."""
+    return n, n, sorted([(i, i, 1) for i in range(n)] + [((i + 1) % n, i, 1) for i in range(n)])
+
+
+def with_pendant_trees(rng, t, max_side: int = 6):
+    """t plus 1-4 new vertices, each joined to a random earlier vertex of the
+    other side while that side has room, so trees hang off t."""
+    a, b, edges = t
+    edges = list(edges)
+    for _ in range(rng.randint(1, 4)):
+        on_x = rng.random() < 0.5
+        if on_x and a < max_side:
+            edges.append((a, rng.randrange(b), 1))
+            a += 1
+        elif not on_x and b < max_side:
+            edges.append((rng.randrange(a), b, 1))
+            b += 1
+    return a, b, sorted(edges)
+
+
+def with_leaf_weights(rng, t):
+    """t with a random weight 1-3 on every edge at a degree-1 vertex."""
+    a, b, edges = t
+    dx, dy = [0] * a, [0] * b
+    for x, y, _ in edges:
+        dx[x] += 1
+        dy[y] += 1
+    return a, b, [
+        (x, y, rng.randint(1, 3) if dx[x] == 1 or dy[y] == 1 else w) for x, y, w in edges
+    ]
+
+
 class TestLowerBound:
     def test_c4(self):
         assert crossing_lower_bound(c4()) == 1
@@ -444,10 +480,115 @@ class TestLowerBound:
             g = BipartiteGraph(a, b, tuple(edges))
             assert crossing_lower_bound(g) <= reference_bcr(a, b, edges)
 
+    def test_never_exceeds_optimum_on_every_class_up_to_four(self):
+        # with unit weights and with random leaf weights, which the bound
+        # ignores: every weight is at least 1
+        rng = random.Random(53)
+        classes = raised = 0
+        for t in connected_graph_classes(4, 4):
+            g = BipartiteGraph(t[0], t[1], tuple(t[2]))
+            bound = crossing_lower_bound(g)
+            assert g.m - g.n + 1 <= bound <= scan_bcr(*t)
+            weighted = with_leaf_weights(rng, t)
+            assert crossing_lower_bound(BipartiteGraph(t[0], t[1], tuple(weighted[2]))) == bound
+            assert bound <= scan_bcr(*weighted)
+            classes += 1
+            raised += bound > g.m - g.n + 1
+        assert classes == 260
+        assert raised >= 5  # the cycle term beats m - n + 1 somewhere
+
+    def test_cycles_read_their_crossing_number(self):
+        # bcr(C_2n) = n - 1; hanging trees never lower a crossing number
+        rng = random.Random(59)
+        grown = 0
+        for n in range(2, 7):
+            t = cycle(n)
+            assert crossing_lower_bound(BipartiteGraph(t[0], t[1], tuple(t[2]))) == n - 1
+            assert scan_bcr(*t) == n - 1
+            for _ in range(4):
+                tree = with_pendant_trees(rng, t)
+                if tree[2] == t[2]:
+                    continue  # C12 fills both sides
+                g = BipartiteGraph(tree[0], tree[1], tuple(tree[2]))
+                assert crossing_lower_bound(g) == n - 1 <= scan_bcr(*tree)
+                grown += 1
+        assert grown >= 12
+
+    def test_adds_over_disjoint_unions(self):
+        rng = random.Random(61)
+        for _ in range(100):
+            parts = [
+                random_connected_graph(rng, max_n=12, extra_edge_prob=rng.uniform(0.05, 0.4))
+                for _ in range(rng.randint(2, 4))
+            ]
+            a = b = 0
+            edges = []
+            for pa, pb, pe in parts:
+                edges += [(x + a, y + b, w) for x, y, w in pe]
+                a, b = a + pa, b + pb
+            union = BipartiteGraph(a, b, tuple(edges))
+            want = sum(crossing_lower_bound(BipartiteGraph(pa, pb, tuple(pe))) for pa, pb, pe in parts)
+            assert crossing_lower_bound(union) == want
+            # shuffled labels: the split's components, relabelled monotonically
+            px, py = rng.sample(range(a), a), rng.sample(range(b), b)
+            mixed = BipartiteGraph(a, b, tuple((px[x], py[y], w) for x, y, w in edges))
+            assert crossing_lower_bound(mixed) == sum(
+                crossing_lower_bound(part.graph) for part in split_components(mixed)
+            )
+
+    def test_merge_and_kernel_keep_it(self):
+        # both keep the 2-core and relabel it monotonically; half the pool
+        # is random graphs, half one or two long cycles through x0 with
+        # trees, a pendant path and sibling leaves, labels shuffled
+        rng = random.Random(67)
+        raised = 0
+        for case in range(300):
+            if case % 2:
+                t = random_connected_graph(
+                    rng, max_n=14, extra_edge_prob=rng.uniform(0.03, 0.3), leaf_weights=True
+                )
+            else:
+                a, b, edges = cycle(rng.randint(3, 5))
+                if rng.random() < 0.5:  # a second cycle through x0
+                    n = rng.randint(2, 4)
+                    ring = [0] + [a + i for i in range(n - 1)]
+                    edges += [(ring[i], b + i, 1) for i in range(n)]
+                    edges += [(ring[(i + 1) % n], b + i, 1) for i in range(n)]
+                    a, b = a + n - 1, b + n
+                t = with_pendant_trees(rng, (a, b, edges), max_side=12)
+                t = with_pendant_path(t, rng.random() < 0.5, 0, rng.randint(3, 9))
+                t = inject_sibling_leaves(rng, t, max_n=t[0] + t[1] + 4)
+                px, py = rng.sample(range(t[0]), t[0]), rng.sample(range(t[1]), t[1])
+                t = (t[0], t[1], [(px[x], py[y], w) for x, y, w in t[2]])
+            g = BipartiteGraph(t[0], t[1], tuple(t[2]))
+            bound = crossing_lower_bound(g)
+            merged = sibling_merge(g).graph
+            assert crossing_lower_bound(merged) == bound
+            if not is_caterpillar_forest(merged):
+                for budget in range(4):
+                    kernel = _pendant_path_kernel(merged, budget).graph
+                    assert crossing_lower_bound(kernel) == bound
+            raised += bound > g.m - g.n + 1
+        assert raised >= 100
+
+    def test_long_ladder_needs_no_recursion(self):
+        # the ladder with 4,000 rungs x_i - y_i, rails x_i - y_(i+1) and
+        # x_(i+1) - y_i: its depth-first search is 8,000 vertices deep
+        rungs = 4000
+        edges = [(i, i) for i in range(rungs)]
+        edges += [(i, i + 1) for i in range(rungs - 1)] + [(i + 1, i) for i in range(rungs - 1)]
+        g = build_graph(rungs, rungs, edges)
+        assert crossing_lower_bound(g) == g.m - g.n + 1 == rungs - 1
+
     def test_counts_every_component(self):
+        # at least m - n + c, at most the summed optima of the components
         for g in disconnected_graphs():
-            c = len(split_components(g))
-            assert crossing_lower_bound(g) == max(0, g.m - g.n + c)
+            parts = split_components(g)
+            bound = crossing_lower_bound(g)
+            assert max(0, g.m - g.n + len(parts)) <= bound
+            assert bound <= sum(
+                reference_bcr(h.x_count, h.y_count, h.edges) for h in (p.graph for p in parts)
+            )
 
 
 class TestCaterpillar:

@@ -183,8 +183,10 @@ class TestKernelSolve:
         assert stats.pop().kernel_edges == 8
 
     def test_decide_searches_again_at_the_optimum(self, monkeypatch):
-        # at k = 3 the 8-edge tail of C6 + 8 is not cut, but at the optimum 2
-        # it is: the witness comes from the kernel at 2, as in exact
+        # C4 (x1, x2 and y0, y1) with a leaf on x1 and on x2 and a 9-edge
+        # pendant path at y0: bcr 2 and lower bound 1.  At k = 3 the path
+        # is cut to 8 edges, at the optimum 2 to 6: the witness comes from
+        # the kernel at 2, as in exact, whose ascent starts at 1
         budgets = []
         real = solver_mod._search
 
@@ -193,8 +195,10 @@ class TestKernelSolve:
             return real(h, budget, lb, limits)
 
         monkeypatch.setattr(solver_mod, "_search", spying)
-        c6 = (3, 3, [(i, i, 1) for i in range(3)] + [((i + 1) % 3, i, 1) for i in range(3)])
-        g = BipartiteGraph(*with_pendant_path(c6, True, 0, 8))
+        core = (3, 4, [(0, 0, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 0, 1), (2, 1, 1), (2, 3, 1)])
+        assert scan_bcr(*core) == 2
+        g = BipartiteGraph(*with_pendant_path(core, True, 0, 8))
+        assert crossing_lower_bound(g) == 1
         report = bcr_decide(g, 3)
         assert budgets == [(14, 3), (12, 2)]
         assert (report.optimum, report.stats.kernel_edges) == (2, 12)
@@ -271,31 +275,27 @@ def growth(on_x, length):
 def tail_cases():
     """Every connected class with sides <= 4, with a 3-8-edge pendant path.
 
-    The path hangs off a vertex of largest degree (X first, then the
-    lowest index) among the sides that keep both sides within 6, so
-    that scan_bcr can check it.  Each class gets every length from 5 to
-    8 that fits (the lengths a budget of 1 or 2 cuts), or else the
-    longest length from 3 that fits.
+    The path hangs off a vertex of largest degree on X (the lowest index
+    on a tie), and in a second graph off one on Y, whenever both sides
+    then stay within 6, so that scan_bcr can check it.  Each class gets,
+    per side, every length from 5 to 8 that fits (the lengths a budget of
+    1 or 2 cuts), or else the longest length from 3 that fits.
     """
     for a, b, edges in connected_graph_classes(4, 4):
         degree = {True: [0] * a, False: [0] * b}
         for x, y, _ in edges:
             degree[True][x] += 1
             degree[False][y] += 1
-        hubs = sorted(
-            ((on_x, v) for on_x in (True, False) for v in range(len(degree[on_x]))),
-            key=lambda hub: (-degree[hub[0]][hub[1]], not hub[0], hub[1]),
-        )
-        fits = []
-        for length in range(3, 9):
-            for on_x, v in hubs:
-                grow_a, grow_b = growth(on_x, length)
-                if max(a + grow_a, b + grow_b) <= 6:
-                    fits.append((length, on_x, v))
-                    break
-        for length, on_x, v in fits:
-            if length >= 5 or length == fits[-1][0]:
-                yield with_pendant_path((a, b, edges), on_x, v, length)
+        for on_x in (True, False):
+            hub = max(range(len(degree[on_x])), key=lambda v: (degree[on_x][v], -v))
+            fits = [
+                length
+                for length in range(3, 9)
+                if max(a + growth(on_x, length)[0], b + growth(on_x, length)[1]) <= 6
+            ]
+            for length in fits:
+                if length >= 5 or length == fits[-1]:
+                    yield with_pendant_path((a, b, edges), on_x, hub, length)
 
 
 K_CAP = 4  # every tail of at most 8 edges is cut only at budgets 1 and 2
@@ -346,7 +346,7 @@ def test_oracle_equivalence_exhaustive_classes_with_tails():
         check_against_oracle(t, ks)
         graphs += 1
         cut += cut_at_some_budget(BipartiteGraph(t[0], t[1], tuple(t[2])), ks)
-    assert graphs >= 300
+    assert graphs >= 600
     assert cut >= 60
 
 

@@ -370,6 +370,55 @@ class TestDecide:
                 seen.add((report.method, report.decision))
         assert seen == {(m, d) for m in ("fastpath", "fpt-enum") for d in ("yes", "no")}
 
+    def test_a_bound_past_k_settles_no_before_any_search(self, monkeypatch):
+        # C8 with a tail, and two disjoint C8: every C8 needs 3 crossings
+        searches = []
+        real = solver_mod._search
+
+        def spying(*args):
+            searches.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(solver_mod, "_search", spying)
+        c8 = (4, 4, [(i, i, 1) for i in range(4)] + [((i + 1) % 4, i, 1) for i in range(4)])
+        tailed = BipartiteGraph(*with_pendant_path(c8, True, 0, 6))
+        two = BipartiteGraph(8, 8, tuple(sorted(c8[2] + [(x + 4, y + 4, w) for x, y, w in c8[2]])))
+        assert crossing_lower_bound(tailed) == 3 and crossing_lower_bound(two) == 6
+        for g, k in ((tailed, 2), (two, 5)):
+            for report in (bcr_decide(g, k), bcr_exact(g, k)):
+                assert (report.decision, report.method, report.k) == ("no", "fastpath", k)
+                assert report.stats == solver_mod.SolveStats(len(split_components(g)), 0, 0, 0, 0, 0)
+            assert searches == []
+            assert bcr_decide(g, k + 1).optimum == k + 1
+            assert searches
+            searches.clear()
+
+    def test_each_component_gets_k_less_the_floors_after_it(self, monkeypatch):
+        budgets = []
+        real = solver_mod._solve_component
+
+        def spying(h, *args):
+            budgets.append(args[0])
+            return real(h, *args)
+
+        monkeypatch.setattr(solver_mod, "_solve_component", spying)
+        # C4 (floor 1) then C8 (floor 3), then C4 again
+        c4_edges = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        c8_edges = [(i, i) for i in range(4)] + [((i + 1) % 4, i) for i in range(4)]
+        edges = c4_edges + [(x + 2, y + 2) for x, y in c8_edges] + [(x + 6, y + 6) for x, y in c4_edges]
+        g = build_graph(8, 8, edges)
+        report = bcr_decide(g, 6)
+        assert (report.decision, report.optimum) == ("yes", 5)
+        assert budgets == [range(2, 3), range(4, 5), range(2, 3)]
+        budgets.clear()
+        report = bcr_exact(g, 5)
+        assert (report.decision, report.optimum) == ("yes", 5)
+        assert budgets == [range(0, 2), range(0, 4), range(0, 2)]
+        budgets.clear()
+        # the floors sum to 5, so k = 4 reaches no component
+        assert bcr_decide(g, 4).method == "fastpath"
+        assert budgets == []
+
     def test_non_caterpillars_are_rejected_at_budget_zero(self, monkeypatch):
         # caterpillars are exactly the graphs with bcr 0, so any other
         # component needs a crossing: the (2, 2, 2) spider, a tree with
@@ -831,20 +880,25 @@ class TestSmallerSideFirst:
 
     def test_empty_first_stream_proves_no(self, monkeypatch):
         sides = self.spy(monkeypatch)
-        # C12 has crossing number 5 and sides of 6: at k = 4 no X layout
-        # survives the bound
-        report = bcr_decide(c12(), 4)
+        # K_{2,4} has crossing number C(4, 2) = 6 and lower bound
+        # m - n + 1 = 3; with the two X vertices in either order each pair
+        # of Y vertices costs one crossing whichever way round, so at k = 5
+        # the one-sided bound leaves no X layout
+        k24 = build_graph(2, 4, [(i, j) for i in range(2) for j in range(4)])
+        assert crossing_lower_bound(k24) == 3
+        report = bcr_decide(k24, 5)
         assert sides == [Side.X]
         assert (report.decision, report.optimum, report.witness) == ("no", None, None)
         assert (report.stats.candidates_x, report.stats.candidates_y) == (0, 0)
         assert report.stats.pairs_evaluated == 0
+        assert report.method == "fpt-enum"
         sides.clear()
-        # the ascent from the lower bound 1 finds X candidates only at 5
-        assert bcr_exact(c12(), 8).optimum == 5
-        assert sides == [Side.X] * 5
+        # the ascent from the lower bound 3 finds X candidates only at 6
+        assert bcr_exact(k24, 8).optimum == 6
+        assert sides == [Side.X] * 4
         sides.clear()
-        # Y is the smaller side of C8 with a leaf, and its stream is empty below 3
-        report = bcr_decide(c8_leaf(), 2)
+        # Y is the smaller side of K_{4,2}, and its stream is empty below 6
+        report = bcr_decide(build_graph(4, 2, [(i, j) for i in range(4) for j in range(2)]), 5)
         assert sides == [Side.Y]
         assert (report.decision, report.stats.candidates_y) == ("no", 0)
 
