@@ -552,8 +552,6 @@ def crossing_lower_bound(g: BipartiteGraph) -> int:
             degree[w] -= 1
             if degree[w] == 1:
                 peeled.append(w)
-    if mu == 1:  # one cycle in all: the 2-core is that cycle
-        return max(1, (n - len(peeled)) // 2 - 1)
     dfi = [-1] * n  # preorder index, -1 until reached
     parent = [-1] * n
     climbed = [False] * n

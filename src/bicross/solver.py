@@ -726,8 +726,9 @@ def bcr_decide(
     allocation is exact: the answer is yes iff the summed component
     optima fit in k, and then the optimum and a composite witness are
     reported.  When the floors alone sum past k the answer is "no"
-    before any search, with method "fastpath".  threads is accepted for compatibility and has
-    no effect: the search runs on the calling thread.
+    before any search, with method "fastpath".  threads is accepted for
+    compatibility and has no effect: the search runs on the calling
+    thread.
     """
     _check_budget("k", k)
     return _solve_components(g, k, limits, ascend=False)
@@ -749,9 +750,8 @@ def bcr_exact(
     the crossing number.  The report carries that k (decision "yes",
     optimum = k) or decision "no" at k = k_max, at once when the floors
     sum past k_max or else once some component's ascent runs out of
-    budget.  Each
-    budget t searches the pendant-path kernel at t, so the ascent stops
-    at the optimum c with the kernel built at c.
+    budget.  Each budget t searches the pendant-path kernel at t, so the
+    ascent stops at the optimum c with the kernel built at c.
     Decision, optimum, k, method and witness are those of
     bcr_decide(g, min(bcr(g), k_max)): each component's witness is the
     lift of the lexicographically first optimal pair of its kernel at c,
