@@ -335,7 +335,22 @@ def _positive_int(text: str) -> int:
     return _flag_number(text, 1)
 
 
-def _emit_report(args: argparse.Namespace, doc: dict, report: SolveReport | None) -> None:
+def _run(args: argparse.Namespace) -> int:
+    """Parse, time, solve and emit the report of one command; exit code 0."""
+    g = parse_graph(args.file, args.format)
+    start = time.perf_counter()
+    report: SolveReport | None = None
+    if args.command == "census":
+        result = census(g, args.k)
+    elif args.command == "exact":
+        report = bcr_exact(g, args.kmax)
+    else:
+        report = bcr_decide(g, args.k)
+    ms = int((time.perf_counter() - start) * 1000)
+    if report is None:
+        doc = census_document(args.file, g, args.k, result, ms)
+    else:
+        doc = solve_document(args.file, g, report, ms)
     if args.json == "-":
         sys.stdout.write(document_json(doc))
     else:
@@ -348,32 +363,6 @@ def _emit_report(args: argparse.Namespace, doc: dict, report: SolveReport | None
             emit_svg(report.witness, svg)
         else:
             print("no witness drawing; --svg skipped", file=sys.stderr)
-
-
-def _cmd_decide(args: argparse.Namespace) -> int:
-    g = parse_graph(args.file, args.format)
-    start = time.perf_counter()
-    report = bcr_decide(g, args.k)
-    ms = int((time.perf_counter() - start) * 1000)
-    _emit_report(args, solve_document(args.file, g, report, ms), report)
-    return 0
-
-
-def _cmd_exact(args: argparse.Namespace) -> int:
-    g = parse_graph(args.file, args.format)
-    start = time.perf_counter()
-    report = bcr_exact(g, args.kmax)
-    ms = int((time.perf_counter() - start) * 1000)
-    _emit_report(args, solve_document(args.file, g, report, ms), report)
-    return 0
-
-
-def _cmd_census(args: argparse.Namespace) -> int:
-    g = parse_graph(args.file, args.format)
-    start = time.perf_counter()
-    result = census(g, args.k)
-    ms = int((time.perf_counter() - start) * 1000)
-    _emit_report(args, census_document(args.file, g, args.k, result, ms), None)
     return 0
 
 
@@ -415,7 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--k", type=_budget, required=True, help="crossing budget")
     _add_common(decide)
     _add_solver_flags(decide)
-    decide.set_defaults(func=_cmd_decide)
 
     exact = commands.add_parser("exact", help="compute the exact crossing number")
     exact.add_argument(
@@ -426,14 +414,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(exact)
     _add_solver_flags(exact)
-    exact.set_defaults(func=_cmd_exact)
 
     cens = commands.add_parser(
         "census", help="count all drawings with at most K crossings (exhaustive)"
     )
     cens.add_argument("--k", type=_budget, required=True, help="crossing budget")
     _add_common(cens)
-    cens.set_defaults(func=_cmd_census)
 
     return parser
 
@@ -441,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -80,8 +80,9 @@ the graph is connected and free of sibling pairs.  The mechanism:
    only right of the root and emits each layout it reaches together with
    its reversal; the two halves are disjoint, so nothing repeats.
 
-Sides of size at most 1 have a single layout and are handled by the
-solver directly; the machinery here requires a side of 2 or more.
+The machinery here requires a side of 2 or more.  The solver never
+walks a smaller one: a connected graph with a side of at most one vertex
+is a star, a caterpillar, which the solver settles at 0 before any walk.
 """
 
 from __future__ import annotations

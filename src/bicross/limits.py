@@ -15,19 +15,21 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Limits:
-    """Four ceilings on the solver's work, one per kind of work.
+    """Three ceilings on the solver's work, one per kind of work.
 
-    oracle_max_side bounds the exhaustive scans by side, max_pair_evaluations
-    by the layout pairs they would visit, max_walk_nodes the budgeted
-    search (the candidate walk and the second-side searches), and
-    max_crossable_pairs the memory of that search's tables.  Exceeding
-    one raises ResourceLimitError.
+    max_pair_evaluations bounds the exhaustive scans by the layout pairs
+    they would visit, max_walk_nodes the budgeted search (the candidate
+    walk and the second-side searches), and max_crossable_pairs the
+    memory of that search's tables.  Exceeding one raises
+    ResourceLimitError.
 
     Attributes:
-        oracle_max_side: largest per-side vertex count the exhaustive
-            scans (the brute-force oracle and the census) will accept.
-        max_pair_evaluations: cap on the layout pairs an exhaustive scan
-            (oracle or census) would visit.
+        max_pair_evaluations: cap on the a! * b! layout pairs an
+            exhaustive scan (the brute-force oracle or the census) of a
+            graph with sides a and b would visit, checked before the
+            scan starts.  The default 8! * 7! = 203,212,800 admits sides
+            of 8 and 7 but not 8 and 8 (1,625,702,400 pairs), and a
+            single side of up to 11 vertices when the other has one.
         max_walk_nodes: cap on the nodes one candidate walk (one side at
             one budget) visits, which bounds its time, and separately on
             the nodes of the second-side searches at one budget, summed
@@ -62,8 +64,7 @@ class Limits:
             answers k = 1; K_{46,46} has 2,142,450 and raises at once.
     """
 
-    oracle_max_side: int = 8
-    max_pair_evaluations: int = 1 << 30
+    max_pair_evaluations: int = 203_212_800  # 8! * 7!
     max_walk_nodes: int = 1 << 19
     max_crossable_pairs: int = 1 << 21
 

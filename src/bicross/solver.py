@@ -1,27 +1,28 @@
 """Exact crossing-number solving.
 
-Before any search, every connected component gets a floor: 0 for a
-caterpillar, else max(1, crossing_lower_bound) of its sibling-merged
-graph (caterpillars are exactly the graphs with bcr 0, so every other
+Before any search, one pass settles every connected component it can.
+Each gets a floor: 0 for a caterpillar, an isolated vertex included,
+else max(1, crossing_lower_bound) of its sibling-merged graph
+(caterpillars are exactly the graphs with bcr 0, so every other
 component needs a crossing; the bound sums edge-disjoint cycles of the
 2-core, see bicross.graph.crossing_lower_bound).  When the floors sum
-past the budget the answer is "no" at once.  Otherwise each component
-is searched with the budget less the optima before it and the floors
-after it.  Caterpillars are answered 0.  For every other component and
-each budget t searched, cut every pendant path to 2t + 2 edges (the
-kernel of bicross.graph._pendant_path_kernel, whose optimum is the
-merged graph's whenever that is at most t), enumerate the candidate
-layouts of the kernel's smaller side (X on a tie), and for each
-candidate solve the other side exactly.  The winning rank pair is
-lifted in one step to vertex orders of the component: an uncrossed
-ladder regrows each cut path, and then each merged vertex is replaced
-by its leaves.  The orders of all components become the one Drawing of
-the solve, which is recounted before it is returned.  The budget handed
-to the enumeration is first capped at the crossing count of the
-identity drawing, which the optimum cannot exceed: the weighted
+past the budget the answer is "no" at once.  Otherwise a caterpillar is
+answered 0 with a spine-walk drawing, and every other component is
+searched with the budget less the optima before it and the floors after
+it.  For each searched component and each budget t, cut every pendant
+path to 2t + 2 edges (the kernel of bicross.graph._pendant_path_kernel,
+whose optimum is the merged graph's whenever that is at most t),
+enumerate the candidate layouts of the kernel's smaller side (X on a
+tie), and for each candidate solve the other side exactly.  The winning
+rank pair is lifted in one step to vertex orders of the component: an
+uncrossed ladder regrows each cut path, and then each merged vertex is
+replaced by its leaves.  The orders of all components become the one
+Drawing of the solve, which is recounted before it is returned.  The
+budget handed to the enumeration is first capped at the crossing count
+of the identity drawing, which the optimum cannot exceed: the weighted
 inversions of the merged graph's sorted edges, with no Drawing built.
-Work is counted in one record, SolveStats: the counts of each search
-add up over the budgets of a component, then over the components.
+Work is counted in one record, SolveStats: the counts of each search add
+up over the budgets of a component, then over the components.
 
 The search is complete.  The candidate stream of the first side holds
 the layout of every drawing with at most budget crossings (see
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial
 
 from .drawing import (
     Drawing,
@@ -172,18 +172,22 @@ def _checked(report: SolveReport) -> SolveReport:
 
 def _scan_size(g: BipartiteGraph, limits: Limits, name: str) -> int:
     """The a! * b! layout pairs the exhaustive scan name ("oracle" or "census")
-    of g would visit; raises unless both sides and that count are within limits."""
-    a, b = g.x_count, g.y_count
-    if a > limits.oracle_max_side or b > limits.oracle_max_side:
-        raise ResourceLimitError(
-            f"{name} limited to sides of {limits.oracle_max_side}; got {a}x{b}"
-        )
-    pairs = factorial(a) * factorial(b)
-    if pairs > limits.max_pair_evaluations:
-        raise ResourceLimitError(
-            f"{name} would scan {pairs} pairs, over max_pair_evaluations="
-            f"{limits.max_pair_evaluations}"
-        )
+    of g would visit; raises unless that count is within limits.
+
+    The factorials are multiplied up one factor at a time, and the check
+    stops at the first product over limits.max_pair_evaluations, so no
+    factorial of a large side is ever computed.
+    """
+    cap = limits.max_pair_evaluations
+    pairs = 1
+    for side in (g.x_count, g.y_count):
+        for factor in range(2, side + 1):
+            pairs *= factor
+            if pairs > cap:
+                raise ResourceLimitError(
+                    f"{name} would scan {pairs} pairs or more, over "
+                    f"max_pair_evaluations={cap}"
+                )
     return pairs
 
 
@@ -286,7 +290,16 @@ def _caterpillar_orders(g: BipartiteGraph) -> tuple[list[int], list[int]]:
     the spine vertex and then its leaves in ascending order; the two layer
     orders read off that walk never flip, so no edge pair crosses.  The
     walk starts at the spine end of smallest index, X before Y; a lone
-    edge has no spine and is walked from its X endpoint.
+    edge has no spine and is walked from its X endpoint, and an isolated
+    vertex is its own one-vertex order.
+
+    The walk runs on g itself, not on its sibling merge, and lays out
+    the witness that the walk on the merged graph, expanded, would.  The
+    merge keeps every spine vertex and the order among them, except that
+    a star becomes a lone edge, whose one drawing expands to the
+    star's.  Merged leaves expand in ascending order in place of their
+    representative, the smallest of them, and the walk appends leaves in
+    ascending order too.
     """
     if g.m == 0:  # connected, so at most one vertex
         return list(range(g.x_count)), list(range(g.y_count))
@@ -555,68 +568,48 @@ def _search(
 
 
 def _solve_component(
-    g: BipartiteGraph,
-    budgets: range,
-    limits: Limits,
-    lb: int,
-    mr: MergeResult | None,
+    mr: MergeResult, lb: int, hi: int, ascend: bool, limits: Limits
 ) -> tuple[int | None, tuple[list[int], list[int]] | None, SolveStats]:
-    """Optimum of the connected graph g if it is at most budgets[-1].
+    """Optimum of a component that needs a search, if it is at most hi.
 
-    lb is g's floor and mr its sibling merge (None for a caterpillar),
-    which _solve_components computed once, making sure that lb <=
-    budgets[-1].  Returns (value, orders, stats): the optimum and the X
-    and Y vertex orders, left to right, of a drawing of g that attains
-    it, or (None, None) when the optimum exceeds budgets[-1].  No
-    Drawing is built here: _solve_components composes the orders of
-    every component into the one witness of the solve.
-    budgets is the ascending run lo..hi to try: one budget for a decision
-    (lo = hi), the whole ascent for an exact solve (lo = 0).  The search
-    stops at the first budget whose best pair fits it; the search is
+    mr is the component's sibling merge and lb its floor, which
+    _solve_components computed once, making sure that lb <= hi.  Returns
+    (value, orders, stats): the optimum and the X and Y vertex orders,
+    left to right, of a drawing of the component that attains it, or
+    (None, None) when the optimum exceeds hi.  No Drawing is built here:
+    _solve_components composes the orders of every component into the
+    one witness of the solve.
+    The budget is first capped at top = min(hi, cap), where cap is the
+    identity drawing's count of the merged graph h = mr.graph.  Without
+    ascend only top is searched; with ascend every budget from lb up to
+    top, stopping at the first whose best pair fits it; the search is
     complete for drawings within that budget, so that pair's count is
-    the optimum.  The budget cap below runs once per call; only the
-    pendant-path kernel, enumeration and second-side searches repeat
-    per budget.
+    the optimum.  The cap runs once per call; only the pendant-path
+    kernel, enumeration and second-side searches repeat per budget.
     stats adds up the counts of every search, plus the edge count of the
-    last kernel searched; it is all zeros when no search ran.
+    last kernel searched.
 
-    Caterpillars (mr is None) are answered 0 on g itself, with the
-    outcome the merged graph would give.  The sibling merge preserves
-    bcr and caterpillars are exactly the graphs with bcr 0, so g is one
-    iff its merge is.  The merge keeps every spine vertex and the order among
-    them, except that a star becomes a lone edge, whose one drawing
-    expands to the star's.  Merged leaves expand in ascending order in
-    place of their representative, the smallest of them.  So the spine
-    walk of _caterpillar_orders on g lays out the witness that the walk
-    on the merged graph, expanded, would.
-
-    Every other component searches each budget t from max(lo, lb) up on
-    the pendant-path kernel of the merged graph at t, whose optimum is
-    the merged graph's whenever that is at most t (see
-    _pendant_path_kernel).  The kernel keeps the merged graph's 2-core,
-    so lb is a lower bound on the kernel's optimum too.  The witness is
+    Each budget t searched runs on the pendant-path kernel of h at t,
+    whose optimum is h's whenever that is at most t (see
+    _pendant_path_kernel).  The kernel keeps h's 2-core, so lb is a
+    lower bound on the kernel's optimum too.  The witness is
     _lift_orders of the lexicographically first optimal rank pair of the
     kernel built at the optimum c, so it does not depend on the budget:
     the ascent stops at t = c, and a decision at t > c searches once
     more at c when that kernel is smaller, that is when some pendant
     path is longer than 2c + 2 edges.
 
-    The budget loop below always runs at least once: lb <= hi, and
-    lb <= bcr(h) <= cap.  So a component reaches enumeration exactly
-    when stats.kernel_edges > 0 (a kernel is never a caterpillar, so it
-    has a cycle or a vertex of degree 3 and at least 4 edges).
+    The loop runs at least once, since lb <= hi and lb <= bcr(h) <= cap,
+    so every call reaches enumeration and its kernel_edges are positive
+    (a kernel is never a caterpillar, so it has at least 4 edges).
     """
-    if mr is None:
-        return 0, _caterpillar_orders(g), _NO_WORK
-
     h = mr.graph
-    hi = budgets[-1]
     # the optimum is at most any drawing's count, so a larger budget admits
     # no further optimal pair; the cap keeps the walk's budget, and so its
     # nodes, small.  h's sorted edges are its identity drawing.
-    cap = weighted_inversions(h.edges, h.y_count)
+    top = min(hi, weighted_inversions(h.edges, h.y_count))
     stats = _NO_WORK
-    for budget in range(max(min(budgets[0], cap), lb), min(hi, cap) + 1):
+    for budget in range(lb if ascend else top, top + 1):
         kernel = _pendant_path_kernel(h, budget)
         best, ranks, found = _search(kernel.graph, budget, lb, limits)
         stats += found
@@ -644,55 +637,51 @@ def _solve_components(
 ) -> SolveReport:
     """Solve the components of g in order against the budget k they share.
 
-    First every component with an edge gets its floor, a lower bound on
-    its optimum, before any search: 0 for a caterpillar, else max(1,
+    This is the one place that settles a component without a search, and
+    where the caterpillar test, the merge and the bound run.  First every
+    component gets its floor, a lower bound on its optimum: 0 for a
+    caterpillar, an isolated vertex included, else max(1,
     crossing_lower_bound) of its sibling merge (caterpillars are exactly
-    the graphs with bcr 0, and the merge preserves bcr).  This is the one
-    place where the caterpillar test, the merge and the bound run for a
-    component.  A component without edges, an isolated vertex, is
-    settled here: its one drawing has no crossings and adds no work to
-    the stats.  When the floors sum past k the answer is "no" at once.
-    Otherwise each component, in one _solve_component call, gets k less
-    the optima before it and the floors after it: a larger optimum
-    would push the sum past k whatever the later components need.  That
-    budget is never below the component's own floor, since every optimum
-    before it fitted the budget it was given.  Without ascend the
-    component is solved at that budget alone; with ascend at every
-    budget from its floor up to that one, stopping at the first that
-    admits a drawing, which is then its optimum.  The search either way
-    stops at the first component whose optimum exceeds its budget.  A
-    "yes" report carries k itself, or the summed optimum with ascend.
-    stats are the component count plus the stats of every component
-    solved, and method is "fpt-enum" iff their kernel_edges is positive,
-    so a "no" settled by the floors reads "fastpath".
+    the graphs with bcr 0, and the merge preserves bcr).  When the floors
+    sum past k the answer is "no" at once.  Otherwise, in order, a
+    caterpillar is answered 0 with the orders of _caterpillar_orders,
+    built only here, at no cost in the stats, and every other component,
+    in one _solve_component call, gets k less the optima before it and
+    the floors after it: a larger optimum would push the sum past k
+    whatever the later components need.  That budget is never below the
+    component's own floor, since every optimum before it fitted the
+    budget it was given.  Without ascend the component is
+    searched at that budget alone; with ascend at every budget from its
+    floor up to that one, stopping at the first that admits a drawing,
+    which is then its optimum.  The search either way stops at the first
+    component whose optimum exceeds its budget.  A "yes" report carries
+    k itself, or the summed optimum with ascend.  stats are the
+    component count plus the stats of every component searched, and
+    method is "fpt-enum" iff some component was searched (its
+    kernel_edges are then positive), so a "no" settled by the floors
+    reads "fastpath".
     """
     parts = split_components(g)
     stats = SolveStats(len(parts), 0, 0, 0, 0, 0)
-    floors: list[tuple[int, MergeResult | None] | None] = []
+    floors: list[tuple[int, MergeResult | None]] = []
     for part in parts:
         h = part.graph
-        if not h.m:
-            floors.append(None)
-        elif is_caterpillar_forest(h):
+        if not h.m or is_caterpillar_forest(h):
             floors.append((0, None))
         else:
             mr = sibling_merge(h)
             floors.append((max(1, crossing_lower_bound(mr.graph)), mr))
-    later = sum(floor for floor, _ in filter(None, floors))
+    later = sum(floor for floor, _ in floors)
     if later > k:
         return _checked(SolveReport("no", None, None, stats, "fastpath", k))
     solved: list[tuple[GraphComponent, tuple[list[int], list[int]]]] = []
     remaining = k
-    for part, setup in zip(parts, floors):
-        h = part.graph
-        if setup is None:
-            solved.append((part, _caterpillar_orders(h)))
+    for part, (lb, mr) in zip(parts, floors):
+        if mr is None:
+            solved.append((part, _caterpillar_orders(part.graph)))
             continue
-        lb, mr = setup
         later -= lb
-        hi = remaining - later
-        budgets = range(0 if ascend else hi, hi + 1)
-        value, orders, found = _solve_component(h, budgets, limits, lb, mr)
+        value, orders, found = _solve_component(mr, lb, remaining - later, ascend, limits)
         stats += found
         if value is None:
             break
@@ -718,17 +707,18 @@ def bcr_decide(
 ) -> SolveReport:
     """Decide whether g has a drawing with at most k crossings.
 
-    Components are solved in order, each against the budget left over
-    from its predecessors less the floors of the components after it.
-    Optimal drawings never interleave components (pushing a whole
-    component's vertices together on both layers only removes
-    crossings), so the crossing number is additive and the sequential
-    allocation is exact: the answer is yes iff the summed component
-    optima fit in k, and then the optimum and a composite witness are
-    reported.  When the floors alone sum past k the answer is "no"
-    before any search, with method "fastpath".  threads is accepted for
-    compatibility and has no effect: the search runs on the calling
-    thread.
+    Caterpillars, isolated vertices included, are settled at 0 without a
+    search.  Every other component is searched in order, once, against
+    the budget left over from its predecessors less the floors of the
+    components after it.  Optimal drawings never interleave components
+    (pushing a whole component's vertices together on both layers only
+    removes crossings), so the crossing number is additive and the
+    sequential allocation is exact: the answer is yes iff the summed
+    component optima fit in k, and then the optimum and a composite
+    witness are reported.  When the floors alone sum past k the answer
+    is "no" before any search, with method "fastpath".  threads is
+    accepted for compatibility and has no effect: the search runs on the
+    calling thread.
     """
     _check_budget("k", k)
     return _solve_components(g, k, limits, ascend=False)

@@ -49,7 +49,6 @@ def test_all_is_pinned():
 def test_limits_has_one_ceiling_per_kind_of_work():
     names = [f.name for f in dataclasses.fields(bicross.Limits)]
     assert names == [
-        "oracle_max_side",
         "max_pair_evaluations",
         "max_walk_nodes",
         "max_crossable_pairs",

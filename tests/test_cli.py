@@ -274,7 +274,7 @@ class TestCommands:
         assert "error" in err
 
     def test_resource_limit_exit_code(self, tmp_path, capsys):
-        text = "bigraph 9 1\n" + "".join(f"x{i} y0\n" for i in range(9))
+        text = "bigraph 12 1\n" + "".join(f"x{i} y0\n" for i in range(12))
         path = write(tmp_path, "big.bg", text)
         code, _, err = self.run(capsys, "census", "--k", "0", path)
         assert code == 3

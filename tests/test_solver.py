@@ -133,11 +133,11 @@ class TestBruteforce:
 
     def test_side_limit(self):
         with pytest.raises(ResourceLimitError, match="oracle"):
-            bcr_bruteforce(star(9))
+            bcr_bruteforce(star(12))
 
     def test_pair_limit_fails_before_scanning(self, monkeypatch):
-        # sides of 8 pass the side limit, but 8! * 8! layout pairs are over
-        # max_pair_evaluations, so neither exhaustive scan may start
+        # 8! * 8! layout pairs are over max_pair_evaluations, so neither
+        # exhaustive scan may start
         def scanning(*args):
             raise AssertionError("the scan started")
 
@@ -187,7 +187,7 @@ class TestCensus:
 
     def test_size_guard(self):
         with pytest.raises(ResourceLimitError, match="census"):
-            census(star(9), 0)
+            census(star(12), 0)
 
 
 class TestComponentSolve:
@@ -397,9 +397,9 @@ class TestDecide:
         budgets = []
         real = solver_mod._solve_component
 
-        def spying(h, *args):
-            budgets.append(args[0])
-            return real(h, *args)
+        def spying(mr, lb, hi, ascend, limits):
+            budgets.append((hi, ascend))
+            return real(mr, lb, hi, ascend, limits)
 
         monkeypatch.setattr(solver_mod, "_solve_component", spying)
         # C4 (floor 1) then C8 (floor 3), then C4 again
@@ -409,11 +409,11 @@ class TestDecide:
         g = build_graph(8, 8, edges)
         report = bcr_decide(g, 6)
         assert (report.decision, report.optimum) == ("yes", 5)
-        assert budgets == [range(2, 3), range(4, 5), range(2, 3)]
+        assert budgets == [(2, False), (4, False), (2, False)]
         budgets.clear()
         report = bcr_exact(g, 5)
         assert (report.decision, report.optimum) == ("yes", 5)
-        assert budgets == [range(0, 2), range(0, 4), range(0, 2)]
+        assert budgets == [(1, True), (3, True), (1, True)]
         budgets.clear()
         # the floors sum to 5, so k = 4 reaches no component
         assert bcr_decide(g, 4).method == "fastpath"
@@ -677,7 +677,7 @@ class TestExact:
         real = solver_mod._solve_component
 
         def counting(*args, **kwargs):
-            calls.append(args[1])  # the budgets range
+            calls.append(args[2])  # hi, the largest budget allowed
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver_mod, "_solve_component", counting)
@@ -779,9 +779,9 @@ class TestExact:
         calls = []
         real = solver_mod._solve_component
 
-        def counting(h, *args):
-            calls.append(h)
-            return real(h, *args)
+        def counting(mr, *args):
+            calls.append(mr)
+            return real(mr, *args)
 
         monkeypatch.setattr(solver_mod, "_solve_component", counting)
         # one edge, then 24 isolated X vertices and 24 isolated Y vertices
@@ -791,7 +791,32 @@ class TestExact:
             assert report.stats == solver_mod.SolveStats(49, 0, 0, 0, 0, 0)
             identity = tuple(range(25))
             assert (report.witness.fx.ranks, report.witness.fy.ranks) == (identity, identity)
-        assert [h.m for h in calls] == [1, 1]
+        assert calls == []
+
+    def test_only_cyclic_components_reach_the_component_solver(self, monkeypatch):
+        calls = []
+        real = solver_mod._solve_component
+
+        def counting(mr, *args):
+            calls.append(mr.graph.m)
+            return real(mr, *args)
+
+        monkeypatch.setattr(solver_mod, "_solve_component", counting)
+        star4 = [(0, j) for j in range(4)]
+        # spine x1 - y4 - x2, with sibling leaves y5, y6 on x1 and y7, y8 on x2
+        caterpillar = [(1, 4), (1, 5), (1, 6), (2, 4), (2, 7), (2, 8)]
+        cycle4 = [(5, 9), (5, 10), (6, 9), (6, 10)]
+        # C6 on x7..x9 and y11..y13, with the tail x7 - y14 - x10 - y15
+        cycle6 = [(7, 11), (7, 12), (8, 12), (8, 13), (9, 13), (9, 11)]
+        tail = [(7, 14), (10, 14), (10, 15)]
+        # x3, x4, x11, x12, y16 and y17 are isolated
+        g = build_graph(13, 18, star4 + caterpillar + cycle4 + cycle6 + tail)
+        assert len(split_components(g)) == 10
+        for solve, k in ((bcr_decide, 3), (bcr_exact, 10)):
+            report = solve(g, k)
+            assert (report.decision, report.optimum, report.method) == ("yes", 3, "fpt-enum")
+            assert calls == [4, 9]
+            calls.clear()
 
     def test_empty_graph(self):
         report = bcr_exact(build_graph(0, 0, []), 5)
