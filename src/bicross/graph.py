@@ -229,12 +229,30 @@ def split_components(g: BipartiteGraph) -> list[GraphComponent]:
     with no X vertex (isolated Y vertices) follow, ordered by smallest Y.
     Each component graph is made by this call and comes with its x_adj,
     y_adj and component_count (1) already filled, from the same pass
-    that buckets its edges.  A connected g is copied too, so nothing
-    cached on a component outlives the caller's use of it.  The lone
-    vertices of one side share one edgeless graph.
+    that buckets its edges.  A connected g is copied too, so nothing is
+    cached on the caller's graph: when the union-find finds one
+    component with an edge, which leaves no vertex isolated, that copy
+    is built straight from g's sorted edges with identity side tables,
+    skipping the numbering and relabelling that the general path needs.
+    The lone vertices of one side share one edgeless graph.
     """
-    parent, _ = _union_find(g)
-    xc = g.x_count
+    parent, count = _union_find(g)
+    xc, yc = g.x_count, g.y_count
+    if count == 1 and g.edges:
+        x_adj: list[list[int]] = [[] for _ in range(xc)]
+        y_adj: list[list[int]] = [[] for _ in range(yc)]
+        for x, y, _ in g.edges:  # sorted, so each list comes out ascending
+            x_adj[x].append(y)
+            y_adj[y].append(x)
+        copy = _derived_graph(
+            xc,
+            yc,
+            g.edges,
+            x_adj=tuple(map(tuple, x_adj)),
+            y_adj=tuple(map(tuple, y_adj)),
+            component_count=1,
+        )
+        return [GraphComponent(copy, tuple(range(xc)), tuple(range(yc)))]
     number = [-1] * g.n  # component number of each root
     comp = [0] * g.n  # component number of each combined id
     local = [0] * g.n  # index of each combined id within its component's side
@@ -258,7 +276,7 @@ def split_components(g: BipartiteGraph) -> list[GraphComponent]:
     # the original ones, so the lists come out sorted too
     buckets: list[list[tuple[int, int, int]]] = [[] for _ in sides]
     x_nbrs: list[list[int]] = [[] for _ in range(xc)]
-    y_nbrs: list[list[int]] = [[] for _ in range(g.y_count)]
+    y_nbrs: list[list[int]] = [[] for _ in range(yc)]
     y_local = local[xc:]
     for x, y, w in g.edges:
         lx, ly = local[x], y_local[y]

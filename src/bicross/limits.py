@@ -30,6 +30,11 @@ class Limits:
             scan starts.  The default 8! * 7! = 203,212,800 admits sides
             of 8 and 7 but not 8 and 8 (1,625,702,400 pairs), and a
             single side of up to 11 vertices when the other has one.
+            The cap counts pairs, not time: on a 2-core x86_64 machine
+            with Python 3.11 the census of C10 and C12 at k = 0 scans
+            about 530,000-820,000 pairs/s, so a scan at the cap runs
+            for minutes, about 5 at roughly 650,000 pairs/s, and longer
+            with more edges or a larger k.
         max_walk_nodes: cap on the nodes one candidate walk (one side at
             one budget) visits, which bounds its time, and separately on
             the nodes of the second-side searches at one budget, summed

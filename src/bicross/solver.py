@@ -1,13 +1,14 @@
 """Exact crossing-number solving.
 
 Before any search, one pass settles every connected component it can.
-Each gets a floor: 0 for a caterpillar, an isolated vertex included,
-else max(1, crossing_lower_bound) of its sibling-merged graph
+Each gets a floor read off the component itself: 0 for a caterpillar,
+an isolated vertex included, else max(1, crossing_lower_bound)
 (caterpillars are exactly the graphs with bcr 0, so every other
 component needs a crossing; the bound sums edge-disjoint cycles of the
-2-core, see bicross.graph.crossing_lower_bound).  When the floors sum
-past the budget the answer is "no" at once.  Otherwise a caterpillar is
-answered 0 with a spine-walk drawing, and every other component is
+2-core, see bicross.graph.crossing_lower_bound, and the sibling merge
+keeps it).  When the floors sum past the budget the answer is "no" at
+once, with no merge built.  Otherwise a caterpillar is answered 0 with
+a spine-walk drawing, and every other component is sibling-merged and
 searched with the budget less the optima before it and the floors after
 it.  For each searched component and each budget t, cut every pendant
 path to 2t + 2 edges (the kernel of bicross.graph._pendant_path_kernel,
@@ -572,13 +573,14 @@ def _solve_component(
 ) -> tuple[int | None, tuple[list[int], list[int]] | None, SolveStats]:
     """Optimum of a component that needs a search, if it is at most hi.
 
-    mr is the component's sibling merge and lb its floor, which
-    _solve_components computed once, making sure that lb <= hi.  Returns
-    (value, orders, stats): the optimum and the X and Y vertex orders,
-    left to right, of a drawing of the component that attains it, or
-    (None, None) when the optimum exceeds hi.  No Drawing is built here:
-    _solve_components composes the orders of every component into the
-    one witness of the solve.
+    mr is the component's sibling merge, built by _solve_components only
+    for a component that reaches this call, and lb its floor, read off
+    the component before the merge (the merge keeps it), with lb <= hi.
+    Returns (value, orders, stats): the optimum and the X and Y vertex
+    orders, left to right, of a drawing of the component that attains
+    it, or (None, None) when the optimum exceeds hi.  No Drawing is
+    built here: _solve_components composes the orders of every component
+    into the one witness of the solve.
     The budget is first capped at top = min(hi, cap), where cap is the
     identity drawing's count of the merged graph h = mr.graph.  Without
     ascend only top is searched; with ascend every budget from lb up to
@@ -638,15 +640,16 @@ def _solve_components(
     """Solve the components of g in order against the budget k they share.
 
     This is the one place that settles a component without a search, and
-    where the caterpillar test, the merge and the bound run.  First every
-    component gets its floor, a lower bound on its optimum: 0 for a
-    caterpillar, an isolated vertex included, else max(1,
-    crossing_lower_bound) of its sibling merge (caterpillars are exactly
-    the graphs with bcr 0, and the merge preserves bcr).  When the floors
-    sum past k the answer is "no" at once.  Otherwise, in order, a
+    where the caterpillar test, the bound and the merge run.  First every
+    component gets its floor, a lower bound on its optimum read off the
+    component itself: 0 for a caterpillar, an isolated vertex included,
+    else max(1, crossing_lower_bound) (caterpillars are exactly the
+    graphs with bcr 0).  When the floors sum past k the answer is "no"
+    at once, and no sibling merge is built.  Otherwise, in order, a
     caterpillar is answered 0 with the orders of _caterpillar_orders,
-    built only here, at no cost in the stats, and every other component,
-    in one _solve_component call, gets k less the optima before it and
+    built only here, at no cost in the stats, and every other component
+    is sibling-merged, which keeps its bcr and its bound, and in one
+    _solve_component call gets k less the optima before it and
     the floors after it: a larger optimum would push the sum past k
     whatever the later components need.  That budget is never below the
     component's own floor, since every optimum before it fitted the
@@ -663,24 +666,22 @@ def _solve_components(
     """
     parts = split_components(g)
     stats = SolveStats(len(parts), 0, 0, 0, 0, 0)
-    floors: list[tuple[int, MergeResult | None]] = []
+    floors: list[int] = []  # 0 iff settled without a search
     for part in parts:
         h = part.graph
-        if not h.m or is_caterpillar_forest(h):
-            floors.append((0, None))
-        else:
-            mr = sibling_merge(h)
-            floors.append((max(1, crossing_lower_bound(mr.graph)), mr))
-    later = sum(floor for floor, _ in floors)
+        crossed = h.m and not is_caterpillar_forest(h)  # bcr >= 1
+        floors.append(max(1, crossing_lower_bound(h)) if crossed else 0)
+    later = sum(floors)
     if later > k:
         return _checked(SolveReport("no", None, None, stats, "fastpath", k))
     solved: list[tuple[GraphComponent, tuple[list[int], list[int]]]] = []
     remaining = k
-    for part, (lb, mr) in zip(parts, floors):
-        if mr is None:
+    for part, lb in zip(parts, floors):
+        if not lb:
             solved.append((part, _caterpillar_orders(part.graph)))
             continue
         later -= lb
+        mr = sibling_merge(part.graph)
         value, orders, found = _solve_component(mr, lb, remaining - later, ascend, limits)
         stats += found
         if value is None:
@@ -716,9 +717,9 @@ def bcr_decide(
     sequential allocation is exact: the answer is yes iff the summed
     component optima fit in k, and then the optimum and a composite
     witness are reported.  When the floors alone sum past k the answer
-    is "no" before any search, with method "fastpath".  threads is
-    accepted for compatibility and has no effect: the search runs on the
-    calling thread.
+    is "no" before any search or sibling merge, with method "fastpath".
+    threads is accepted for compatibility and has no effect: the search
+    runs on the calling thread.
     """
     _check_budget("k", k)
     return _solve_components(g, k, limits, ascend=False)
@@ -734,7 +735,8 @@ def bcr_exact(
 
     The graph is split once and each component is solved to its optimum
     once, by raising its budget one step at a time from its floor
-    max(1, crossing_lower_bound) (caterpillars are answered 0 at once),
+    max(1, crossing_lower_bound) (caterpillars are answered 0 at once);
+    each component searched is sibling-merged once, before its ascent,
     never past what k_max leaves after the optima before it and the
     floors after it; by additivity (see bcr_decide) the optima sum to
     the crossing number.  The report carries that k (decision "yes",

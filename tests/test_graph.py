@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from bicross import (
     BipartiteGraph,
     GraphError,
+    bcr_decide,
+    bcr_exact,
     build_graph,
     crossing_lower_bound,
     is_caterpillar_forest,
@@ -326,9 +328,17 @@ class TestSplitViews:
         rng = random.Random(43)
         return [sparse_union(rng) for _ in range(300)]
 
+    def connected(self) -> list[BipartiteGraph]:
+        """Inputs that the split copies in one pass: every class with sides
+        up to 3, then seeded random connected graphs."""
+        rng = random.Random(47)
+        triples = list(connected_graph_classes(3, 3))
+        triples += [random_connected_graph(rng, leaf_weights=True) for _ in range(100)]
+        return [BipartiteGraph(a, b, tuple(edges)) for a, b, edges in triples]
+
     def test_prefilled_views_match_a_fresh_graph(self):
         lone = edgeless = 0
-        for g in self.graphs():
+        for g in self.graphs() + self.connected():
             for part in split_components(g):
                 h = part.graph
                 assert set(self.VIEWS) <= set(vars(h))  # filled before any use
@@ -360,6 +370,34 @@ class TestSplitViews:
         (part,) = split_components(g)
         assert part.graph == g and part.graph is not g
         assert vars(g).keys() == {"x_count", "y_count", "edges"}  # nothing cached on the input
+
+    def test_one_pass_copy_matches_the_general_split(self):
+        # a connected graph takes the one-pass path; with one isolated
+        # vertex added on either side the same component takes the general one
+        for g in self.connected():
+            (part,) = split_components(g)
+            assert part.x_vertices == tuple(range(g.x_count))
+            assert part.y_vertices == tuple(range(g.y_count))
+            for padded in (
+                BipartiteGraph(g.x_count + 1, g.y_count, g.edges),
+                BipartiteGraph(g.x_count, g.y_count + 1, g.edges),
+            ):
+                general, lone = split_components(padded)
+                assert lone.graph.n == 1
+                assert (part.x_vertices, part.y_vertices) == (general.x_vertices, general.y_vertices)
+                h, want = part.graph, general.graph
+                assert vars(h).keys() == vars(want).keys()
+                for name in ("x_count", "y_count", "edges") + self.VIEWS:
+                    assert getattr(h, name) == getattr(want, name), name
+
+    def test_solving_caches_nothing_on_the_input(self):
+        # connected and split inputs, answered "yes" and "no", with and
+        # without a search
+        graphs = self.connected()[::4] + self.graphs()[:40]
+        for g in graphs:
+            for report in (bcr_decide(g, 0), bcr_decide(g, 2), bcr_exact(g, 20)):
+                assert report.witness is None or report.witness.graph is g
+                assert vars(g).keys() == {"x_count", "y_count", "edges"}
 
 
 class TestMerge:
@@ -537,13 +575,18 @@ class TestLowerBound:
             )
 
     def test_merge_and_kernel_keep_it(self):
-        # both keep the 2-core and relabel it monotonically; half the pool
-        # is random graphs, half one or two long cycles through x0 with
-        # trees, a pendant path and sibling leaves, labels shuffled
+        # both keep the 2-core and relabel it monotonically, so the solver
+        # may read each floor off the component before the merge; the pool
+        # is every class with sides up to 4, then half random graphs, half
+        # one or two long cycles through x0 with trees, a pendant path and
+        # sibling leaves, labels shuffled
         rng = random.Random(67)
+        classes = list(connected_graph_classes(4, 4))
         raised = 0
-        for case in range(300):
-            if case % 2:
+        for case in range(-len(classes), 300):
+            if case < 0:
+                t = classes[case]
+            elif case % 2:
                 t = random_connected_graph(
                     rng, max_n=14, extra_edge_prob=rng.uniform(0.03, 0.3), leaf_weights=True
                 )

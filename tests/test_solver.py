@@ -419,6 +419,57 @@ class TestDecide:
         assert bcr_decide(g, 4).method == "fastpath"
         assert budgets == []
 
+    def test_the_merge_runs_only_before_a_search(self, monkeypatch):
+        # the floors are read off the components themselves, so a "no" they
+        # settle builds no sibling merge, and a solve that searches merges
+        # each searched component once, however many budgets it tries
+        merged = []
+        real = solver_mod.sibling_merge
+
+        def spying(h):
+            merged.append(h)
+            return real(h)
+
+        monkeypatch.setattr(solver_mod, "sibling_merge", spying)
+        spider = (1, 0, [])
+        for on_x, length in ((True, 8), (True, 2), (True, 6)):
+            spider = with_pendant_path(spider, on_x, 0, length)
+        c8 = (4, 4, [(i, i, 1) for i in range(4)] + [((i + 1) % 4, i, 1) for i in range(4)])
+        # C4 with sibling leaves y2, y3 on x0; a 3-leaf star; C6 with sibling
+        # leaves x3, x4 on y0; the (2, 2, 2) spider with sibling leaves x1, x4 on y0
+        parts = [
+            (2, 4, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 2, 1), (0, 3, 2)]),
+            (1, 3, [(0, 0, 1), (0, 1, 1), (0, 2, 1)]),
+            (5, 3, [(i, i, 1) for i in range(3)] + [((i + 1) % 3, i, 1) for i in range(3)]
+             + [(3, 0, 1), (4, 0, 3)]),
+            (5, 3, [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1), (2, 1, 1), (3, 2, 1), (4, 0, 1)]),
+        ]
+        a = b = 0
+        edges = []
+        for pa, pb, pe in parts:
+            edges += [(x + a, y + b, w) for x, y, w in pe]
+            a, b = a + pa, b + pb
+        union = BipartiteGraph(a, b, tuple(edges))
+        assert all(has_sibling_pair(*t) for t in parts)
+        cases = [
+            (BipartiteGraph(*spider), 1),
+            (BipartiteGraph(*with_pendant_path(c8, True, 0, 6)), 3),
+            (union, 4),
+        ]
+        for g, optimum in cases:
+            searched = [
+                part.graph for part in split_components(g) if not is_caterpillar_forest(part.graph)
+            ]
+            for k in range(optimum):
+                report = bcr_decide(g, k)
+                assert (report.decision, report.method) == ("no", "fastpath")
+                assert merged == []
+            for solve, k in ((bcr_decide, optimum), (bcr_exact, 20)):
+                report = solve(g, k)
+                assert (report.decision, report.optimum) == ("yes", optimum)
+                assert merged == searched
+                merged.clear()
+
     def test_non_caterpillars_are_rejected_at_budget_zero(self, monkeypatch):
         # caterpillars are exactly the graphs with bcr 0, so any other
         # component needs a crossing: the (2, 2, 2) spider, a tree with
