@@ -403,7 +403,10 @@ def enumerate_candidates(
 
     The walk is a plain recursive function: each node is one call, and
     a node at depth a appends its layout to one list, which is streamed
-    once the walk is done.  At depth a the sequence is the layout and
+    once the walk is done.  Nothing of the walk outlives the stream:
+    walk, which calls itself, is dropped once it returns or raises, so
+    its tables are freed as soon as the stream ends or is dropped, not at
+    the next cyclic collection.  At depth a the sequence is the layout and
     both checks are exact, so the stream is exactly the layouts with gap
     cost at most 4k and bound at most k.  Reversal keeps both (module
     docstring, step 5), so order[1] is inserted only right of the root,
@@ -542,7 +545,10 @@ def enumerate_candidates(
             for p, e in left[depth]:
                 diff[p] += e
 
-    walk(1, 0, 0)
+    try:
+        walk(1, 0, 0)
+    finally:
+        del walk  # walk refers to itself: drop it so its tables go with the stream
     top = a - 1
     for found in leaves:
         yield Layout(side, found)

@@ -67,6 +67,12 @@ class Limits:
             tables pass about 0.5 GB.  C4 with a 600-edge path hung on
             it and a leaf on every path vertex has 722,402 such pairs and
             answers k = 1; K_{46,46} has 2,142,450 and raises at once.
+            A search's tables are freed when it returns, so the same
+            figure bounds a bcr_exact ascent, whose peak is that of its
+            largest budget: on K3,3 with a pendant caterpillar of 60
+            spine vertices, one leaf each (126 vertices, 129 edges, bcr
+            9), bcr_exact(g, 12) and bcr_decide(g, 9) both peak at 2.00
+            MiB under tracemalloc.
     """
 
     max_pair_evaluations: int = 203_212_800  # 8! * 7!

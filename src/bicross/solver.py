@@ -449,7 +449,9 @@ def _best_second_order(
     branch and is exact at a leaf.  A child is entered only if that
     bound is below bar[0], or equal to it with a rank prefix that can
     still come before bar[1]; bar tightens to each leaf found.  Children
-    are tried cheapest first, then by vertex.  Nothing outlives the call.
+    are tried cheapest first, then by vertex.  Nothing outlives the call:
+    place, which calls itself, is dropped once it returns or raises, so
+    its tables are freed at once, not at the next cyclic collection.
     """
     n = h.side_count(side)
     diff = [0] * (n * n)  # c_uv - c_vu at p = u * n + v, u < v
@@ -522,7 +524,10 @@ def _best_second_order(
                     out[u] += e
             pos[v] = -1
 
-    place(0, base, list(range(n)))
+    try:
+        place(0, base, list(range(n)))
+    finally:
+        del place  # place refers to itself: drop it so its tables go with this call
     return found, spent
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -636,6 +638,102 @@ class TestCrossablePairCeiling:
         assert g.crossable_pair_count < Limits().max_crossable_pairs
         report = bcr_decide(g, 1)
         assert (report.decision, report.optimum) == ("yes", 1)
+
+
+class TestSearchesFreeTheirTables:
+    """The candidate walk and the second-side search leave no reference
+    cycle, so their tables go when they return, not at the next collection."""
+
+    @staticmethod
+    def left_in_cycles(call) -> int:
+        """Objects that only the cyclic collector frees after call(), run warm."""
+        call()
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_no_search_leaves_a_cycle(self):
+        c4 = (2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
+        c6 = (3, 3, [(i, i, 1) for i in range(3)] + [((i + 1) % 3, i, 1) for i in range(3)])
+        c4_tail = build_graph(*with_pendant_path(c4, True, 0, 12))
+        c6_tail = build_graph(*with_pendant_path(c6, True, 0, 8))
+        spider = (1, 0, [])
+        for length in (6, 2, 6):
+            spider = with_pendant_path(spider, True, 0, length)
+        spider = build_graph(*spider)
+        errors = []
+
+        def failing(g, k, nodes):
+            def call():
+                try:
+                    bcr_decide(g, k, Limits(max_walk_nodes=nodes))
+                except ResourceLimitError as err:
+                    errors.append(str(err))
+
+            return call
+
+        def first_layout():
+            next(enumerate_candidates(c6_tail, Side.X, 2))
+
+        reports = []
+        calls = {
+            # X walked first, one second-side search
+            "C6 + 8 at its optimum": lambda: reports.append(bcr_decide(c6_tail, 2)),
+            # Y walked first, two second-side searches
+            "(6, 2, 6) spider at 1": lambda: reports.append(bcr_decide(spider, 1)),
+            # six budgets, 4 through 9
+            "K3,3 exact": lambda: reports.append(bcr_exact(k33())),
+            # the kernel at 3 beats its budget and is searched again at 1
+            "C4 + 12 at 3": lambda: reports.append(bcr_decide(c4_tail, 3)),
+            "a walk over its node cap": failing(c6_tail, 2, 5),
+            "a second-side search over its node cap": failing(spider, 1, 6),
+            "a stream dropped after its first layout": first_layout,
+        }
+        for name, call in calls.items():
+            assert self.left_in_cycles(call) == 0, name
+        # each call ran twice, warm-up first
+        c6_report, spider_report, k33_report, c4_report = reports[1::2]
+        assert c6_report.optimum == 2 and c6_report.stats.candidates_x > 0
+        assert spider_report.optimum == 1 and spider_report.stats.candidates_y > 0
+        assert spider_report.stats.pairs_evaluated == 2
+        assert k33_report.optimum == 9 and c4_report.optimum == 1
+        assert errors == 2 * ["candidate walk on side x at k=2 exceeds max_walk_nodes=5"] + 2 * [
+            "second-side search on side x exceeds max_walk_nodes=6"
+        ]
+
+    def test_an_exact_ascent_peaks_at_its_largest_budget(self):
+        # K3,3 (bcr 9) with a pendant caterpillar: 20 spine vertices off
+        # x0, one leaf each
+        edges = [(x, y) for x in range(3) for y in range(3)]
+        a = b = 3
+        prev = 0
+        for i in range(20):
+            if i % 2 == 0:  # spine vertex y_b, leaf x_a
+                edges += [(prev, b), (a, b)]
+                prev = b
+            else:  # spine vertex x_a, leaf y_b
+                edges += [(a, prev), (a, b)]
+                prev = a
+            a, b = a + 1, b + 1
+        g = build_graph(a, b, edges)
+        assert bcr_exact(g, 12).optimum == 9
+        exact = self.traced_peak(lambda: bcr_exact(g, 12))
+        decide = self.traced_peak(lambda: bcr_decide(g, 9))
+        assert exact <= 1.1 * decide, (exact, decide)
 
 
 class TestExact:
