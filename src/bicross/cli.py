@@ -10,6 +10,7 @@ not be parsed, 3 a resource limit was hit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -391,6 +392,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicross",

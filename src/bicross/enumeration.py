@@ -38,7 +38,7 @@ the graph is connected and free of sibling pairs.  The mechanism:
    and, per non-root vertex x, its gap(x) and whether x lies left or
    right of T(x): placing the vertices in spine order, each rank follows
    from its parent's.  At most a - 1 vertices have l(x) = 1, so the raw
-   gaps still sum to at most 4k + a - 1: the stream is a subset of the
+   gaps still sum to at most 4k + a - 1: the output is a subset of the
    orders that count_bound counts by those (root rank, gaps, directions)
    choices.  The gap vectors whose sum is at most 4k + a - 1, not only
    those whose sum is exactly that, number C(4k+2a-2, a-1) <=
@@ -69,7 +69,7 @@ the graph is connected and free of sibling pairs.  The mechanism:
    left of all of order[0..d-1], the same set on every branch, and the
    change when x then moves right past z.
 
-5. The stream is therefore exactly the layouts with gap cost at most 4k
+5. The output is therefore exactly the layouts with gap cost at most 4k
    on the spine and one-sided bound at most k, and that set is closed
    under reversal.  l(x) depends only on the graph and the spine.
    Reversing a layout (rank r -> a - 1 - r) keeps every
@@ -90,9 +90,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .drawing import Layout
 from .graph import BipartiteGraph, GraphError, Side, _check_budget
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 
@@ -369,15 +368,17 @@ def enumerate_candidates(
     side: Side,
     k: int,
     limits: Limits = DEFAULT_LIMITS,
-) -> Iterator[Layout]:
-    """Stream the layouts within the gap cost and the one-sided bound.
+) -> list[tuple[int, ...]]:
+    """The rank tuples of the layouts within the gap cost and the one-sided bound.
 
     Requires a connected graph with no sibling pairs and side size >= 2
     (the caller merges sibling leaves first); raises GraphError when a
     spine witness has two or more leaves other than x and T(x), which
-    only sibling leaves give (see _leaf_slack).  Contains, for every drawing
-    with at most k crossings, that drawing's layout on this side, and
-    every layout it streams has a one-sided crossing bound of at most k.
+    only sibling leaves give (see _leaf_slack).  Every check raises at
+    the call.  Returns a list of rank tuples (ranks[v] is the position
+    of vertex v) that contains, for every drawing with at most k
+    crossings, that drawing's layout on this side; every layout in it
+    has a one-sided crossing bound of at most k.
 
     The walk builds relative orders depth-first: it keeps the placed
     vertices as one left-to-right sequence and inserts x = order[d]
@@ -402,18 +403,17 @@ def enumerate_candidates(
       is as its parent left it.
 
     The walk is a plain recursive function: each node is one call, and
-    a node at depth a appends its layout to one list, which is streamed
-    once the walk is done.  Nothing of the walk outlives the stream:
-    walk, which calls itself, is dropped once it returns or raises, so
-    its tables are freed as soon as the stream ends or is dropped, not at
-    the next cyclic collection.  At depth a the sequence is the layout and
-    both checks are exact, so the stream is exactly the layouts with gap
-    cost at most 4k and bound at most k.  Reversal keeps both (module
-    docstring, step 5), so order[1] is inserted only right of the root,
-    and each leaf is streamed together with its reversal, which has
-    order[1] left of the root and is never walked.  Distinct walk nodes
-    are distinct relative orders, so each surviving relative order is
-    entered once and the stream has no duplicates.
+    a node at depth a appends its layout to one list.  walk, which calls
+    itself, is dropped when it returns or raises, so its tables go with
+    this call, not at the next cyclic collection.  At depth a the
+    sequence is the layout and both checks are exact, so the result is
+    exactly the layouts with gap cost at most 4k and bound at most k.
+    Reversal keeps both (module docstring, step 5), so order[1] is
+    inserted only right of the root, and each leaf is returned followed
+    by its reversal, which has order[1] left of the root and is never
+    walked.  Distinct walk nodes are distinct relative orders, so each
+    surviving relative order is entered once and the result has no
+    duplicates.
 
     The walk has at most as many nodes as a walk that assigns absolute
     ranks (a root rank of at most (a - 1) / 2, then each vertex at some
@@ -426,19 +426,18 @@ def enumerate_candidates(
     it a node of the rank walk, and distinct nodes pack to distinct
     rank-walk nodes, because a walked order's reversal is never walked.
 
-    The raw gaps of a streamed layout sum to at most 4k + a - 1, the
+    The raw gaps of a returned layout sum to at most 4k + a - 1, the
     count_bound argument, for any k: no cap applies to it.  The one
     guard is max_walk_nodes, which counts the nodes of the walk, leaves
-    included, and so also bounds the stream: every layout streamed is a
-    leaf of the walk or the reversal of one, so a stream holds at most
-    2 * max_walk_nodes layouts.  The walk raises before it streams
-    anything.  A node costs time linear in its depth plus the table
-    entries of the vertex it inserts (see Limits).  The walk recurses
-    once per vertex, so a side too deep for the recursion limit raises
-    ResourceLimitError at once (check_depth), before any table is built.
-    So does a graph with more crossable edge pairs, counted from the
-    degrees, than limits.max_crossable_pairs: the tables hold one entry
-    per such pair.
+    included, and so also bounds the result: every layout returned is a
+    leaf of the walk or the reversal of one, so the list holds at most
+    2 * max_walk_nodes layouts.  A node costs time linear in its depth
+    plus the table entries of the vertex it inserts (see Limits).  The
+    walk recurses once per vertex, so a side too deep for the recursion
+    limit raises ResourceLimitError at once (check_depth), before any
+    table is built.  So does a graph with more crossable edge pairs,
+    counted from the degrees, than limits.max_crossable_pairs: the tables
+    hold one entry per such pair.
     """
     _check_budget("k", k)
     a = g.side_count(side)
@@ -548,17 +547,15 @@ def enumerate_candidates(
     try:
         walk(1, 0, 0)
     finally:
-        del walk  # walk refers to itself: drop it so its tables go with the stream
+        del walk  # walk refers to itself: drop it so its tables go with this call
     top = a - 1
-    for found in leaves:
-        yield Layout(side, found)
-        yield Layout(side, tuple([top - r for r in found]))
+    return [ranks for found in leaves for ranks in (found, tuple([top - r for r in found]))]
 
 
 def count_bound(a: int, k: int) -> int:
-    """Closed-form ceiling on the candidate stream size: 2^(4k+2a-2) * 2^(a-1) * a.
+    """Closed-form ceiling on the candidate count: 2^(4k+2a-2) * 2^(a-1) * a.
 
-    Counting argument: a streamed layout is fixed by the rank of the
+    Counting argument: a candidate layout is fixed by the rank of the
     root and, per non-root vertex x, its gap and whether it lies left or
     right of T(x) (module docstring, step 3).  The a - 1 gaps are
     non-negative and sum to at most S = 4k + a - 1; adding a slack term

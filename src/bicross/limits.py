@@ -47,7 +47,7 @@ class Limits:
             5 us on the 22-vertex side of C4 with a 40-edge tail at
             k = 30 and 23-31 us on the 33-vertex side of C6 with a
             60-edge tail at k = 20, so a walk that hits 2^19 nodes stops
-            after about 2.5-15 s.  It also bounds the candidate stream,
+            after about 2.5-15 s.  It also bounds the candidate list,
             which holds at most two layouts per node (a walk leaf and its
             reversal).  A second-side search node places one vertex, in
             time linear in the side's size.  The cap is the search's only

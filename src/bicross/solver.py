@@ -25,9 +25,9 @@ inversions of the merged graph's sorted edges, with no Drawing built.
 Work is counted in one record, SolveStats: the counts of each search add
 up over the budgets of a component, then over the components.
 
-The search is complete.  The candidate stream of the first side holds
+The search is complete.  The candidate list of the first side holds
 the layout of every drawing with at most budget crossings (see
-bicross.enumeration), so an empty stream proves that the optimum exceeds
+bicross.enumeration), so an empty list proves that the optimum exceeds
 the budget.  Once a first-side layout is fixed, the best order of the
 other side is one-sided crossing minimization (Juenger and Mutzel 1997;
 Dujmovic, Fernau and Kaufmann 2008), which _best_second_order solves
@@ -36,7 +36,7 @@ to right, counts every pair with a placed vertex exactly and every other
 pair at min(c_uv, c_vu), and cuts a branch whose count cannot beat the
 incumbent.  Both counts only grow along a branch and are exact at a
 leaf, so no order that beats the incumbent is cut.  A drawing within
-budget has its first-side layout in the stream, and its other layout is
+budget has its first-side layout in the list, and its other layout is
 an order of the other side that passes every cut until a better pair is
 found.  So the minimum over the candidates is the exact crossing number
 of the kernel whenever that number is within budget.  The incumbent
@@ -89,7 +89,7 @@ class SolveStats:
 
     components: connected components of the graph, isolated vertices
         included (0 in the counts of a search or a component).
-    candidates_x, candidates_y: candidate layouts streamed by the walk of
+    candidates_x, candidates_y: candidate layouts returned by the walk of
         the side walked first, the smaller side of the kernel (X on a
         tie); the other side's count reads 0 for that search.
     pairs_evaluated: second-side searches run, one per first-side
@@ -244,7 +244,7 @@ def bcr_bruteforce(
 class CensusResult:
     """Exhaustive count of layout pairs within a crossing budget.
 
-    bound is the product of the per-side closed-form stream ceilings
+    bound is the product of the per-side closed-form candidate ceilings
     (1 for a side with fewer than 2 vertices, which has a single layout),
     kept alongside the true count for bound-validation experiments.
     sibling_free records whether the scanned graph itself has no sibling
@@ -541,7 +541,7 @@ def _search(
 
     Returns (best, ranks, stats): ranks is the lexicographically first
     (X ranks, Y ranks) pair of minimum count best if best <= budget, else
-    None.  The smaller side, X on a tie, is walked first; an empty stream
+    None.  The smaller side, X on a tie, is walked first; an empty list
     already proves the optimum exceeds the budget.  Its candidates are
     taken in sorted order, each with one _best_second_order search, whose
     nodes add up against limits.max_walk_nodes.  With X first a later
@@ -552,7 +552,7 @@ def _search(
     first = Side.Y if h.y_count < h.x_count else Side.X
     second = first.other
     check_depth(second, h.side_count(second))
-    layouts = sorted(l.ranks for l in enumerate_candidates(h, first, budget, limits))
+    layouts = sorted(enumerate_candidates(h, first, budget, limits))
     best = budget + 1
     pair = None
     spent = searches = 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 
@@ -19,7 +21,7 @@ from bicross.cli import (
     parse_graph_text,
     svg_string,
 )
-from util import weighted_triples
+from util import left_in_cycles, weighted_triples
 
 C4_TEXT = """\
 # a four-cycle
@@ -68,6 +70,8 @@ class TestParsing:
             ("bigraph 1 1\nx0 y0 0\n", "weight", 2),
             ("bigraph 1 1\nx0 y0\nx0 y0\n", "duplicate", 3),
             ("bigraph 1 1\nx0 y4\n", "out of range", 2),
+            ("bigraph 2 2\nx5 y0\n", r"x5 out of range \(x_count=2\)", 2),
+            ("# only a comment\n\n", "missing 'bigraph' header", 1),
             ("bigraph 1 1\nbigraph 1 1\n", "second header", 2),
             ("bigraph 1 1\nx0 y0 1 9\n", "expected", 2),
             # counts, indices and weights are ASCII digits only, which int() is not
@@ -111,6 +115,9 @@ class TestParsing:
             parse_edge_list_text("a b\n")
         with pytest.raises(ParseError, match="duplicate"):
             parse_edge_list_text("0 0\n0 0\n")
+        for line in ("0", "0 0 1 9"):
+            with pytest.raises(ParseError, match=r"expected '<i> <j> \[weight\]'"):
+                parse_edge_list_text(f"0 0\n{line}\n")
 
     @pytest.mark.parametrize("line", ["1_0 0", "+1 0", "0 -1", "0 \u0663", "0 0 1_0"])
     def test_edge_list_takes_plain_decimals_only(self, line):
@@ -215,6 +222,23 @@ class TestCommands:
         assert doc["count"] == 24
         assert doc["pairs_scanned"] == 24
         assert doc["sibling_free"] is False
+
+    def test_main_leaves_no_cycle(self, tmp_path):
+        # the parser is built once per process, so a request through main
+        # leaves nothing that only the cyclic collector frees
+        c4_path = write(tmp_path, "c4.bg", C4_TEXT)
+        star = write(tmp_path, "star.bg", "bigraph 1 3\nx0 y0\nx0 y1\nx0 y2\n")
+        for argv in (
+            ["decide", "--k", "1", c4_path],
+            ["exact", c4_path],
+            ["census", "--k", "0", star],
+        ):
+
+            def call():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+
+            assert left_in_cycles(call) == 0, argv[0]
 
     def test_table_output_default(self, tmp_path, capsys):
         path = write(tmp_path, "c4.bg", C4_TEXT)

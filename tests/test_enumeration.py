@@ -119,6 +119,9 @@ class TestBuildSpine:
             build_spine(build_graph(1, 2, [(0, 0), (0, 1)]), Side.X, 0)
         with pytest.raises(GraphError, match="root"):
             build_spine(c4(), Side.X, 5)
+        # x1 and x2 point at each other, so neither is reached from x0
+        with pytest.raises(GraphError, match="does not reach every vertex"):
+            SpineMap(Side.X, 0, {1: 2, 2: 1}, {1: 0, 2: 0}).decode_order
 
 
 class TestVerifySpine:
@@ -134,6 +137,15 @@ class TestVerifySpine:
         s = SpineMap(Side.X, 0, {1: 0}, {1: 1})
         assert not verify_spine(g, s)
 
+    @pytest.mark.parametrize(
+        "root,successor",
+        [(5, {}), (0, {1: 7}), (0, {1: 1})],
+        ids=["root out of range", "successor out of range", "own successor"],
+    )
+    def test_out_of_range_or_self_successor_rejected(self, root, successor):
+        s = SpineMap(Side.X, root, successor, dict.fromkeys(successor, 0))
+        assert not verify_spine(c4(), s)
+
     def test_wrong_domain_rejected(self):
         s = SpineMap(Side.X, 0, {}, {})
         assert not verify_spine(c4(), s)
@@ -148,20 +160,29 @@ class TestVerifySpine:
 
 class TestEnumerate:
     def test_c4_both_orders_at_k1(self):
-        got = {l.ranks for l in enumerate_candidates(c4(), Side.X, 1)}
+        got = set(enumerate_candidates(c4(), Side.X, 1))
         assert got == {(0, 1), (1, 0)}
 
     def test_short_path_both_orders_at_k0(self):
-        got = {l.ranks for l in enumerate_candidates(short_path(), Side.X, 0)}
+        got = set(enumerate_candidates(short_path(), Side.X, 0))
         assert got == {(0, 1), (1, 0)}
+
+    def test_returns_each_leaf_then_its_reversal(self):
+        assert enumerate_candidates(c4(), Side.X, 1) == [(0, 1), (1, 0)]
+        rng = random.Random(47)
+        for _ in range(15):
+            a, b, edges = random_sibling_free_graph(rng, max_n=7)
+            got = enumerate_candidates(BipartiteGraph(a, b, tuple(edges)), Side.X, 2)
+            assert type(got) is list and all(type(ranks) is tuple for ranks in got)
+            assert got[1::2] == [tuple(a - 1 - r for r in ranks) for ranks in got[0::2]]
 
     def test_no_duplicates_and_deterministic(self):
         rng = random.Random(53)
         for _ in range(15):
             a, b, edges = random_sibling_free_graph(rng, max_n=7)
             g = BipartiteGraph(a, b, tuple(edges))
-            first = [l.ranks for l in enumerate_candidates(g, Side.X, 1)]
-            second = [l.ranks for l in enumerate_candidates(g, Side.X, 1)]
+            first = enumerate_candidates(g, Side.X, 1)
+            second = enumerate_candidates(g, Side.X, 1)
             assert first == second
             assert len(first) == len(set(first))
 
@@ -171,7 +192,7 @@ class TestEnumerate:
             a, b, edges = random_sibling_free_graph(rng, max_n=7)
             g = BipartiteGraph(a, b, tuple(edges))
             for k in (0, 1, 2):
-                stream = list(enumerate_candidates(g, Side.X, k))
+                stream = enumerate_candidates(g, Side.X, k)
                 assert len(stream) <= count_bound(a, k)
 
     def test_completeness_small_random(self):
@@ -181,7 +202,7 @@ class TestEnumerate:
             g = BipartiteGraph(a, b, tuple(edges))
             for k in (0, 1):
                 for side, size in ((Side.X, a), (Side.Y, b)):
-                    stream = {l.ranks for l in enumerate_candidates(g, side, k)}
+                    stream = set(enumerate_candidates(g, side, k))
                     realized = set()
                     for fx, fy in all_drawings(a, b):
                         if reference_crossings(edges, fx, fy) <= k:
@@ -198,17 +219,17 @@ class TestEnumerate:
         # layout, which has a drawing without crossings
         assert reference_crossings(edges, (1, 0, 3, 2), (1, 0)) == 0
         with pytest.raises(GraphError, match="witness y1 of x1 has 2 free leaves"):
-            list(enumerate_candidates(g, Side.X, 0))
+            enumerate_candidates(g, Side.X, 0)
 
     def test_walk_node_ceiling_error(self):
         # C4 at k = 1 walks two nodes per side (TestWalkNodes): the root and x1
         for side in (Side.X, Side.Y):
-            assert len(list(enumerate_candidates(c4(), side, 1, Limits(max_walk_nodes=2)))) == 2
+            assert len(enumerate_candidates(c4(), side, 1, Limits(max_walk_nodes=2))) == 2
             with pytest.raises(
                 ResourceLimitError,
                 match=f"candidate walk on side {side.value} at k=1 exceeds max_walk_nodes=1",
             ):
-                list(enumerate_candidates(c4(), side, 1, Limits(max_walk_nodes=1)))
+                enumerate_candidates(c4(), side, 1, Limits(max_walk_nodes=1))
 
     def test_walk_node_ceiling_reaches_the_solver(self):
         with pytest.raises(ResourceLimitError, match="max_walk_nodes=1"):
@@ -307,7 +328,7 @@ class TestMirroredWalk:
             ]
             for k in range(4):
                 want = {p for p, cost, bound in scored if cost <= 4 * k and bound <= k}
-                stream = [l.ranks for l in enumerate_candidates(g, side, k)]
+                stream = enumerate_candidates(g, side, k)
                 assert len(stream) == len(set(stream)), (edges, side, k)
                 assert set(stream) == want, (edges, side, k)
                 if a % 2:
@@ -388,7 +409,7 @@ class TestGapCheck:
             costs = [(p, leaf_aware_cost(p, spine.successor, slack)) for p in permutations(range(a))]
             for k in range(3):
                 want = {p for p, cost in costs if cost <= 4 * k}
-                stream = [l.ranks for l in enumerate_candidates(g, side, k)]
+                stream = enumerate_candidates(g, side, k)
                 assert len(stream) == len(set(stream)), (edges, side, k)
                 assert set(stream) == want, (edges, side, k)
                 cut += len(want) < len(costs)
@@ -456,7 +477,7 @@ def walk_nodes(g, side, k):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        streamed = sum(1 for _ in enumerate_candidates(g, side, k))
+        streamed = len(enumerate_candidates(g, side, k))
     finally:
         sys.setprofile(previous)
     return nodes, streamed
@@ -496,7 +517,7 @@ class TestWalkNodes:
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            streamed = sum(1 for _ in enumerate_candidates(g, side, k))
+            streamed = len(enumerate_candidates(g, side, k))
         finally:
             sys.setprofile(previous)
         assert (len(entered), streamed) == walk_nodes(g, side, k)
@@ -618,7 +639,7 @@ class TestWeightedWalk:
             ]
             for k in range(5):
                 want = {p for p, cost, bound in scored if cost <= 4 * k and bound <= k}
-                stream = [l.ranks for l in enumerate_candidates(g, side, k)]
+                stream = enumerate_candidates(g, side, k)
                 assert len(stream) == len(set(stream)), (edges, side, k)
                 assert set(stream) == want, (edges, side, k)
 

@@ -89,6 +89,20 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="out of range"):
             build_graph(2, 2, [(2, 0)])
 
+    @pytest.mark.parametrize(
+        "call,fragment",
+        [
+            (lambda: BipartiteGraph(-1, 2), "vertex counts must be non-negative"),
+            (lambda: BipartiteGraph(2, 2, ((0, 0),)), r"edge \(0, 0\) is not an \(x, y, w"),
+            (lambda: build_graph(2, 2, [(0,)]), r"edge \(0,\) is not \(x, y\) or \(x, y, w"),
+            (lambda: build_graph(2, 2, [(0, 0, 1, 1)]), r"edge \(0, 0, 1, 1\) is not"),
+        ],
+        ids=["negative count", "pair edge", "1-item", "4-item"],
+    )
+    def test_malformed_counts_and_edges_rejected(self, call, fragment):
+        with pytest.raises(GraphError, match=fragment):
+            call()
+
     def test_zero_weight_rejected(self):
         with pytest.raises(GraphError, match="weight"):
             build_graph(1, 1, [(0, 0, 0)])

@@ -144,8 +144,8 @@ class TestLift:
         # the leg starts at x0, so p1, p3, ... are on Y and p2, p4, ... on X
         x, y = inv_x[path[2]], inv_y[path[1]]
         # every drawing within budget is a pair of candidate layouts
-        xs = [l.ranks for l in enumerate_candidates(k, Side.X, budget)]
-        ys = [l.ranks for l in enumerate_candidates(k, Side.Y, budget)]
+        xs = enumerate_candidates(k, Side.X, budget)
+        ys = enumerate_candidates(k, Side.Y, budget)
         lifted = []
         for fx in xs:
             for fy in ys:

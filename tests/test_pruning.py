@@ -60,7 +60,7 @@ def check_against_oracle(a: int, b: int, edges) -> bool:
                 realized[Side.Y].add(fy)
         streams = {}
         for side in (Side.X, Side.Y):
-            stream = [l.ranks for l in enumerate_candidates(g, side, k)]
+            stream = enumerate_candidates(g, side, k)
             for ranks in stream:
                 assert one_sided_bound(edges, side is Side.X, ranks) <= k, (edges, k, ranks)
             assert realized[side] <= set(stream), (edges, k, side)
@@ -87,7 +87,7 @@ def test_random_weighted_sides_up_to_six():
 def test_empty_stream_answers_no():
     # C12 has crossing number 5: at k = 4 the bound leaves no X layout
     c12 = build_graph(6, 6, [(i, i) for i in range(6)] + [((i + 1) % 6, i) for i in range(6)])
-    assert list(enumerate_candidates(c12, Side.X, 4)) == []
+    assert enumerate_candidates(c12, Side.X, 4) == []
     report = bcr_decide(c12, 4)
     assert (report.decision, report.optimum, report.witness) == ("no", None, None)
     assert report.stats.pairs_evaluated == 0

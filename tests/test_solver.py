@@ -44,6 +44,7 @@ from util import (
     connected_graph_classes,
     has_sibling_pair,
     inject_sibling_leaves,
+    left_in_cycles,
     random_caterpillar,
     random_connected_graph,
     reference_bcr,
@@ -511,7 +512,7 @@ class TestDecide:
             ("k", lambda k: bcr_decide(c4(), k)),
             ("k_max", lambda k: bcr_exact(c4(), k)),
             ("k", lambda k: census(c4(), k)),
-            ("k", lambda k: list(enumerate_candidates(c4(), Side.X, k))),
+            ("k", lambda k: enumerate_candidates(c4(), Side.X, k)),
             ("k", lambda k: count_bound(2, k)),
         ],
         ids=["bcr_decide", "bcr_exact", "census", "enumerate_candidates", "count_bound"],
@@ -590,7 +591,7 @@ class TestRecursionDepth:
         g = c4_leafy_path(1000)
         assert (g.x_count, g.y_count) == (1002, 1002)
         with pytest.raises(ResourceLimitError, match="side x has 1002 vertices"):
-            list(enumerate_candidates(g, Side.X, 1))
+            enumerate_candidates(g, Side.X, 1)
         with pytest.raises(ResourceLimitError, match="side y has 1002 vertices"):
             bcr_decide(g, 1)
         # neither built the m^2 table of crossable edge pairs
@@ -622,10 +623,10 @@ class TestCrossablePairCeiling:
         limits = Limits(max_crossable_pairs=count - 1)
         message = f"{count} crossable edge pairs, over max_crossable_pairs={count - 1}"
         with pytest.raises(ResourceLimitError, match=message):
-            list(enumerate_candidates(g, Side.X, 2, limits))
+            enumerate_candidates(g, Side.X, 2, limits)
         assert "crossable_pairs" not in vars(g)
-        # at the ceiling the walk runs, and streams the layouts of bcr = 2
-        assert len(list(enumerate_candidates(g, Side.X, 2, Limits(max_crossable_pairs=count)))) > 0
+        # at the ceiling the walk runs, and returns the layouts of bcr = 2
+        assert len(enumerate_candidates(g, Side.X, 2, Limits(max_crossable_pairs=count))) > 0
 
     def test_k46_46_raises_at_once(self):
         g = build_graph(46, 46, [(x, y) for x in range(46) for y in range(46)])
@@ -643,18 +644,6 @@ class TestCrossablePairCeiling:
 class TestSearchesFreeTheirTables:
     """The candidate walk and the second-side search leave no reference
     cycle, so their tables go when they return, not at the next collection."""
-
-    @staticmethod
-    def left_in_cycles(call) -> int:
-        """Objects that only the cyclic collector frees after call(), run warm."""
-        call()
-        gc.collect()
-        gc.disable()
-        try:
-            call()
-            return gc.collect()
-        finally:
-            gc.enable()
 
     @staticmethod
     def traced_peak(call) -> int:
@@ -686,8 +675,8 @@ class TestSearchesFreeTheirTables:
 
             return call
 
-        def first_layout():
-            next(enumerate_candidates(c6_tail, Side.X, 2))
+        def walk():
+            enumerate_candidates(c6_tail, Side.X, 2)
 
         reports = []
         calls = {
@@ -701,10 +690,10 @@ class TestSearchesFreeTheirTables:
             "C4 + 12 at 3": lambda: reports.append(bcr_decide(c4_tail, 3)),
             "a walk over its node cap": failing(c6_tail, 2, 5),
             "a second-side search over its node cap": failing(spider, 1, 6),
-            "a stream dropped after its first layout": first_layout,
+            "a walk that returns": walk,
         }
         for name, call in calls.items():
-            assert self.left_in_cycles(call) == 0, name
+            assert left_in_cycles(call) == 0, name
         # each call ran twice, warm-up first
         c6_report, spider_report, k33_report, c4_report = reports[1::2]
         assert c6_report.optimum == 2 and c6_report.stats.candidates_x > 0

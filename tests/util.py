@@ -1,4 +1,4 @@
-"""Shared test helpers: an independent crossing oracle and graph generators.
+"""Shared test helpers: an independent crossing oracle, graph generators and a cycle probe.
 
 Everything here is written from the definitions only (no solver imports),
 so library results can be checked against genuinely independent values.
@@ -8,6 +8,7 @@ Graphs are passed around as (x_count, y_count, edges) triples with
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -468,3 +469,15 @@ def weighted_triples(draw, covered: bool = False, max_side: int = 8):
         x_count = draw(st.integers(max((x + 1 for x, _ in edges), default=0), max_side))
         y_count = draw(st.integers(max((y + 1 for _, y in edges), default=0), max_side))
     return x_count, y_count, sorted((x, y, w) for (x, y), w in edges.items())
+
+
+def left_in_cycles(call) -> int:
+    """Objects that only the cyclic collector frees after call(), run warm."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
