@@ -181,14 +181,6 @@ def parse_graph(path: str | Path, fmt: str = "native") -> BipartiteGraph:
     return parse(text, source=str(path))
 
 
-def graph_to_text(g: BipartiteGraph) -> str:
-    """Canonical native-format text; parse_graph_text round-trips it."""
-    lines = [f"bigraph {g.x_count} {g.y_count}"]
-    for x, y, w in g.edges:
-        lines.append(f"x{x} y{y}" if w == 1 else f"x{x} y{y} {w}")
-    return "\n".join(lines) + "\n"
-
-
 # -- report documents ----------------------------------------------------------
 
 
@@ -287,20 +279,15 @@ def svg_string(d: Drawing) -> str:
                 f'<text x="{(x1 + x2) // 2 + 6}" y="{(y1 + y2) // 2}" '
                 f'font-size="11" fill="#a00">{w}</text>'
             )
-    for v in range(g.x_count):
-        c = cx(d.fx.ranks[v])
-        parts.append(f'<circle cx="{c}" cy="{top}" r="5" fill="#222"/>')
-        parts.append(
-            f'<text x="{c}" y="{top - 12}" font-size="11" '
-            f'text-anchor="middle">x{v}</text>'
-        )
-    for v in range(g.y_count):
-        c = cx(d.fy.ranks[v])
-        parts.append(f'<circle cx="{c}" cy="{bottom}" r="5" fill="#222"/>')
-        parts.append(
-            f'<text x="{c}" y="{bottom + 20}" font-size="11" '
-            f'text-anchor="middle">y{v}</text>'
-        )
+    rows = (("x", d.fx.ranks, top, top - 12), ("y", d.fy.ranks, bottom, bottom + 20))
+    for name, ranks, cy, label_y in rows:
+        for v, rank in enumerate(ranks):
+            c = cx(rank)
+            parts.append(f'<circle cx="{c}" cy="{cy}" r="5" fill="#222"/>')
+            parts.append(
+                f'<text x="{c}" y="{label_y}" font-size="11" '
+                f'text-anchor="middle">{name}{v}</text>'
+            )
     parts.append(
         f'<text x="{margin}" y="{height - 16}" font-size="13">'
         f"crossings: {crossing_number_fast(d)}</text>"
@@ -430,12 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except ResourceLimitError as err:
+    except (ResourceLimitError, ValueError, OSError) as err:  # ParseError, GraphError included
         print(f"error: {err}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as err:  # ParseError and GraphError included
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(err, ResourceLimitError) else 2
 
 
 if __name__ == "__main__":

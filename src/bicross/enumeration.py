@@ -90,6 +90,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from .graph import BipartiteGraph, GraphError, Side, _check_budget
@@ -397,10 +398,13 @@ def enumerate_candidates(
       their arrangement, so putting x left of all of them is one
       precomputed row, left[d] of _order_tables; moving the insertion
       point right past a placed z then applies moves[x][z].  The
-      positions are tried left to right with one row per step, and the
-      bound is (settled weight - sum(|c_uv - c_vu|)) / 2.  After the
-      last position the node takes its own updates back, so the table
-      is as its parent left it.
+      positions are tried left to right with one row per step, in one
+      sweep from position 0, and the bound is (settled weight -
+      sum(|c_uv - c_vu|)) / 2.  The positions before the first one the
+      gap cost can admit (and, for order[1], the one left of the root)
+      are passed without a check: the sweep only applies their rows and
+      adds up their gap charges.  After the last position the node
+      takes its own updates back, so the table is as its parent left it.
 
     The walk is a plain recursive function: each node is one call, and
     a node at depth a appends its layout to one list.  walk, which calls
@@ -456,11 +460,7 @@ def enumerate_candidates(
     cap = 4 * k
     # least[d]: the bound of order[0..d] is at most k iff sum(|c_uv - c_vu|)
     # reaches the weight they settle minus 2k
-    least = []
-    settled = -2 * k
-    for w in settles:
-        settled += w
-        least.append(settled)
+    least = list(accumulate(settles, initial=-2 * k))[1:]
     # (y, T(y), l(y)) for y = order[1], order[2], ...
     spans = [(y, successor[y], slack[y]) for y in order[1:]]
     seq = [order[0]]  # the placed vertices, left to right
@@ -500,33 +500,23 @@ def enumerate_candidates(
         reach = cap - spent + free
         first = 1 if depth == 1 else max(0, t - reach)
         last = min(depth, t + 1 + reach)
-        for p, e in left[depth]:  # x left of every placed vertex
-            d0 = diff[p]
-            d1 = d0 + e
-            diff[p] = d1
-            spread += abs(d1) - abs(d0)
-        for z in seq[:first]:  # then right of seq[0..first-1]
-            for p, e in row[z]:
+        bar = least[depth]
+        charge = 0
+        for i in range(last + 1):
+            # x left of every placed vertex, then right past seq[i - 1]
+            for p, e in row[seq[i - 1]] if i else left[depth]:
                 d0 = diff[p]
                 d1 = d0 + e
                 diff[p] = d1
                 spread += abs(d1) - abs(d0)
-        charge = sum(step[:first])
-        bar = least[depth]
-        for i in range(first, last + 1):
-            if i > first:
-                for p, e in row[seq[i - 1]]:  # that vertex moves to x's left
-                    d0 = diff[p]
-                    d1 = d0 + e
-                    diff[p] = d1
-                    spread += abs(d1) - abs(d0)
             charge += step[i]
-            gap = t - i if i <= t else i - t - 1
-            cost = spent + charge + (gap - free if gap > free else 0)
-            if cost <= cap and spread >= bar:
-                seq.insert(i, x)
-                walk(depth + 1, cost, spread)
-                del seq[i]
+            if i >= first:
+                gap = t - i if i <= t else i - t - 1
+                cost = spent + charge + (gap - free if gap > free else 0)
+                if cost <= cap and spread >= bar:
+                    seq.insert(i, x)
+                    walk(depth + 1, cost, spread)
+                    del seq[i]
         # take this node's updates back.  x right of every placed vertex
         # is the negation of left[depth], so from x at last that is either
         # undoing the moves past seq[0..last-1] and then left[depth], or

@@ -544,33 +544,33 @@ def _search(
     None.  The smaller side, X on a tie, is walked first; an empty list
     already proves the optimum exceeds the budget.  Its candidates are
     taken in sorted order, each with one _best_second_order search, whose
-    nodes add up against limits.max_walk_nodes.  With X first a later
-    candidate must beat the incumbent count, so the loop stops once that
-    count meets the lower bound lb; with Y first it may also tie the
-    count with X ranks that come first (see the module docstring).
+    nodes add up against limits.max_walk_nodes.  The incumbent is the
+    search's bar itself, (budget + 1, ()) until a pair is found: with X
+    first it is (count, ()), so a later candidate must beat the count
+    and the loop stops once that count meets the lower bound lb; with Y
+    first it is the (count, X ranks) that the search returned, so a
+    later candidate may also tie the count with X ranks that come first
+    (see the module docstring).
     """
     first = Side.Y if h.y_count < h.x_count else Side.X
     second = first.other
     check_depth(second, h.side_count(second))
     layouts = sorted(enumerate_candidates(h, first, budget, limits))
-    best = budget + 1
+    bar = (budget + 1, ())  # the incumbent: its count, and its X ranks if Y is walked
     pair = None
     spent = searches = 0
     for fixed in layouts:
-        if first is Side.X:
-            if best == lb:
-                break
-            bar = (best, ())
-        else:
-            bar = (best, pair[0]) if pair else (best, ())
+        if first is Side.X and bar[0] == lb:
+            break
         searches += 1
         found, spent = _best_second_order(h, second, fixed, bar, limits, spent)
         if found is not None:
-            best, ranks = found
+            count, ranks = found
+            bar = (count, ()) if first is Side.X else found
             pair = (fixed, ranks) if first is Side.X else (ranks, fixed)
     walked = (len(layouts), 0) if first is Side.X else (0, len(layouts))
     stats = SolveStats(0, *walked, searches, len(layouts) - searches, 0)
-    return best, pair, stats
+    return bar[0], pair, stats
 
 
 def _solve_component(

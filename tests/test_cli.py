@@ -15,13 +15,12 @@ from bicross import BipartiteGraph, build_graph, drawing_from_ranks
 from bicross.cli import (
     ParseError,
     emit_svg,
-    graph_to_text,
     main,
     parse_edge_list_text,
     parse_graph_text,
     svg_string,
 )
-from util import left_in_cycles, weighted_triples
+from util import graph_to_text, left_in_cycles, weighted_triples
 
 C4_TEXT = """\
 # a four-cycle

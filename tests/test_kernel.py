@@ -159,6 +159,19 @@ class TestLift:
         assert len(lifted) == 8
         assert all(got == want for got, want in lifted)
 
+    def test_every_kept_edge_crossed_raises(self):
+        # at budget 0 a cut path keeps e1 and e2 only, so a kernel drawing
+        # that crosses e2 leaves the ladder no edge to start from
+        h = c4_tail(6)
+        mr = graph_mod.sibling_merge(h)
+        kernel = kernel_of(mr.graph, 0)
+        ((_, path),) = kernel.paths
+        assert path[:3] == (0, 2, 2) and kernel.keep == 2
+        # x2 leftmost and y2 rightmost: e2 = (y2, x2) crosses (x0, y0)
+        ranks = ((1, 2, 0), (0, 1, 2))
+        with pytest.raises(solver_mod.SelfCheckError, match="every kept edge"):
+            solver_mod._lift_orders(mr, kernel, ranks)
+
     def test_lift_of_an_uncut_kernel_is_the_drawing(self):
         h = c4_tail(3)
         kernel = kernel_of(h, 1)
@@ -206,6 +219,22 @@ class TestKernelSolve:
         exact = bcr_exact(g, 10)
         assert budgets == [(10, 1), (12, 2)]
         assert exact.witness == report.witness == bcr_decide(g, 2).witness
+
+    @pytest.mark.parametrize("tight", [None, 2], ids=["no-pair", "other-count"])
+    def test_a_tight_kernel_that_loses_the_optimum_raises(self, monkeypatch, tight):
+        # C4 with a 12-edge tail at k = 3 finds 1, then searches the kernel
+        # at 1 again; that search comes back with no pair, or another count
+        real = solver_mod._search
+
+        def losing(h, budget, lb, limits):
+            best, ranks, stats = real(h, budget, lb, limits)
+            if budget == 3:
+                return best, ranks, stats
+            return (best, None, stats) if tight is None else (tight, ranks, stats)
+
+        monkeypatch.setattr(solver_mod, "_search", losing)
+        with pytest.raises(solver_mod.SelfCheckError, match="lost the optimum"):
+            bcr_decide(c4_tail(12), 3)
 
     @pytest.mark.parametrize("length, builds", [(4, 1), (6, 1), (7, 2), (8, 2)])
     def test_tight_kernel_built_only_when_smaller(self, monkeypatch, length, builds):

@@ -1209,6 +1209,26 @@ class TestSelfCheck:
         """
     )
 
+    def test_a_witness_that_recounts_wrong_raises(self, monkeypatch):
+        # the path x0 - y0 - x1 - y1 has bcr 0; x1 left of x0 crosses (x0, y0) and (x1, y1)
+        path = build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
+        crossed = drawing_from_ranks(path, (1, 0), (0, 1))
+        assert crossing_number_fast(crossed) == 1
+        monkeypatch.setattr(solver_mod, "_compose_drawing", lambda g, parts: crossed)
+        with pytest.raises(solver_mod.SelfCheckError, match="inconsistent report"):
+            bcr_decide(path, 0)
+
+    def test_an_optimum_without_orders_raises(self, monkeypatch):
+        real = solver_mod._solve_component
+
+        def orderless(mr, lb, hi, ascend, limits):
+            value, _, stats = real(mr, lb, hi, ascend, limits)
+            return value, None, stats
+
+        monkeypatch.setattr(solver_mod, "_solve_component", orderless)
+        with pytest.raises(solver_mod.SelfCheckError, match="came without a witness"):
+            bcr_decide(c4(), 1)
+
     def test_wrong_witness_raises_under_python_O(self):
         src = str(Path(solver_mod.__file__).resolve().parents[1])
         env = dict(os.environ)

@@ -471,6 +471,14 @@ def weighted_triples(draw, covered: bool = False, max_side: int = 8):
     return x_count, y_count, sorted((x, y, w) for (x, y), w in edges.items())
 
 
+def graph_to_text(g) -> str:
+    """Canonical native-format text of a BipartiteGraph; parse_graph_text round-trips it."""
+    lines = [f"bigraph {g.x_count} {g.y_count}"]
+    for x, y, w in g.edges:
+        lines.append(f"x{x} y{y}" if w == 1 else f"x{x} y{y} {w}")
+    return "\n".join(lines) + "\n"
+
+
 def left_in_cycles(call) -> int:
     """Objects that only the cyclic collector frees after call(), run warm."""
     call()
