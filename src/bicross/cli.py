@@ -4,7 +4,8 @@ Commands: decide (budgeted yes/no), exact (smallest budget), census
 (exhaustive count of drawings within budget).  Reports go to stdout as a
 small table, or as JSON with --json; --svg renders the witness drawing.
 Exit codes: 0 solved (the decision lives in the report), 2 input could
-not be parsed, 3 a resource limit was hit.
+not be parsed, a file could not be read or an output could not be
+written, 3 a resource limit was hit.
 """
 
 from __future__ import annotations
@@ -99,13 +100,16 @@ def _list_edge(tokens: list[str], line: int, source: str | None) -> tuple[int, i
     return values[0], values[1], weight
 
 
-def _edge_lines(lines, pattern: re.Pattern, slow, source: str | None):
+def _edge_lines(lines, pattern: re.Pattern, slow, source: str | None, tags: tuple[str, str]):
     """(line number, (x, y, weight)) per edge line of lines, an enumeration of
     text.splitlines(), skipping blanks and '#' comments.
 
     pattern reads a plain line; every other line goes to slow(tokens,
-    line number, source), which reads it token by token or raises.
+    line number, source), which reads it token by token or raises.  A
+    repeated (x, y) raises, naming the vertices with the format's tags
+    ("x", "y" or none) and the line the edge was first on.
     """
+    seen: dict[tuple[int, int], int] = {}  # (x, y) -> line of that edge
     for line_no, raw in lines:
         match = pattern.fullmatch(raw)
         if match is not None:
@@ -119,6 +123,11 @@ def _edge_lines(lines, pattern: re.Pattern, slow, source: str | None):
             if not tokens or tokens[0][0] == "#":
                 continue
             edge = slow(tokens, line_no, source)
+        x, y, _ = edge
+        first = seen.setdefault((x, y), line_no)
+        if first != line_no:
+            message = f"duplicate edge {tags[0]}{x} {tags[1]}{y} (first on line {first})"
+            raise ParseError(message, line_no, source)
         yield line_no, edge
 
 
@@ -143,16 +152,13 @@ def parse_graph_text(text: str, source: str | None = None) -> BipartiteGraph:
     if x_count is None or y_count is None:
         raise ParseError("header counts must be plain decimal integers", line_no, source)
     edges: list[tuple[int, int, int]] = []
-    seen: dict[int, int] = {}  # x * y_count + y -> line of that edge
-    for line_no, (x, y, weight) in _edge_lines(lines, _NATIVE_EDGE, _native_edge, source):
+    for line_no, edge in _edge_lines(lines, _NATIVE_EDGE, _native_edge, source, ("x", "y")):
+        x, y, _ = edge
         if x >= x_count:
             raise ParseError(f"x{x} out of range (x_count={x_count})", line_no, source)
         if y >= y_count:
             raise ParseError(f"y{y} out of range (y_count={y_count})", line_no, source)
-        first = seen.setdefault(x * y_count + y, line_no)
-        if first != line_no:
-            raise ParseError(f"duplicate edge x{x} y{y} (first on line {first})", line_no, source)
-        edges.append((x, y, weight))
+        edges.append(edge)
     return _derived_graph(x_count, y_count, tuple(sorted(edges)))
 
 
@@ -161,27 +167,33 @@ def parse_edge_list_text(text: str, source: str | None = None) -> BipartiteGraph
 
     Side sizes are one past the largest index seen on each side.
     """
-    edges: list[tuple[int, int, int]] = []
-    seen: dict[tuple[int, int], int] = {}  # (i, j) -> line of that edge
     lines = enumerate(text.splitlines(), start=1)
-    for line_no, (x, y, weight) in _edge_lines(lines, _LIST_EDGE, _list_edge, source):
-        first = seen.setdefault((x, y), line_no)
-        if first != line_no:
-            raise ParseError(f"duplicate edge {x} {y} (first on line {first})", line_no, source)
-        edges.append((x, y, weight))
-    edges.sort()
+    edges = sorted(e for _, e in _edge_lines(lines, _LIST_EDGE, _list_edge, source, ("", "")))
     x_count = edges[-1][0] + 1 if edges else 0
     y_count = 1 + max((y for _, y, _ in edges), default=-1)
     return _derived_graph(x_count, y_count, tuple(edges))
 
 
 def parse_graph(path: str | Path, fmt: str = "native") -> BipartiteGraph:
-    text = Path(path).read_text()
+    """Graph from a UTF-8 file; a byte that is not UTF-8 raises ParseError."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as err:
+        # the bad byte's line: the valid text before it, plus one character
+        line = len((data[: err.start].decode() + "?").splitlines())
+        raise ParseError(f"byte 0x{data[err.start]:02x} is not UTF-8", line, str(path)) from None
     parse = parse_graph_text if fmt == "native" else parse_edge_list_text
     return parse(text, source=str(path))
 
 
 # -- report documents ----------------------------------------------------------
+
+
+def _document(path: str, g: BipartiteGraph, k: int, body: dict, wall_time_ms: int) -> dict:
+    """The fields every report shares around a command's own body, in table order."""
+    head = {"input": path, "n_x": g.x_count, "n_y": g.y_count, "m": g.m, "k": k}
+    return {**head, **body, "wall_time_ms": wall_time_ms}
 
 
 def solve_document(
@@ -193,36 +205,20 @@ def solve_document(
             "x_ranks": list(report.witness.fx.ranks),
             "y_ranks": list(report.witness.fy.ranks),
         }
-    return {
-        "input": path,
-        "n_x": g.x_count,
-        "n_y": g.y_count,
-        "m": g.m,
-        "k": report.k,
+    body = {
         "decision": report.decision,
         "optimum": report.optimum if report.optimum is not None else "exceeds_budget",
         "witness": witness,
         "stats": asdict(report.stats),
         "method": report.method,
-        "wall_time_ms": wall_time_ms,
     }
+    return _document(path, g, report.k, body, wall_time_ms)
 
 
 def census_document(
     path: str, g: BipartiteGraph, k: int, result: CensusResult, wall_time_ms: int
 ) -> dict:
-    return {
-        "input": path,
-        "n_x": g.x_count,
-        "n_y": g.y_count,
-        "m": g.m,
-        "k": k,
-        "count": result.count,
-        "bound": result.bound,
-        "pairs_scanned": result.pairs_scanned,
-        "sibling_free": result.sibling_free,
-        "wall_time_ms": wall_time_ms,
-    }
+    return _document(path, g, k, asdict(result), wall_time_ms)
 
 
 def document_json(doc: dict) -> str:

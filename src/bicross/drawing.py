@@ -70,26 +70,39 @@ def drawing_from_ranks(
     return Drawing(g, Layout(Side.X, tuple(x_ranks)), Layout(Side.Y, tuple(y_ranks)))
 
 
+def _count_capped(ex: list[tuple[int, int, int]], fy, cap: int | None) -> int | None:
+    """Weighted crossing count of pre-ranked edges, or None once it exceeds cap.
+
+    ex holds (x-rank, y-vertex, weight) per edge and fy maps y-vertex to
+    rank; cap None counts in full.  The pair {e, e'} crosses iff its rank
+    differences on the two layers have opposite signs, and then costs
+    weight(e) * weight(e'); edges sharing an endpoint have a zero
+    difference on that layer and never count.  The cap is checked after
+    each edge's pairs, so with no edges the count is 0 whatever the cap.
+    """
+    total = 0
+    for i in range(len(ex)):
+        rx, y, w = ex[i]
+        ry = fy[y]
+        for j in range(i + 1, len(ex)):
+            rx2, y2, w2 = ex[j]
+            if (rx - rx2) * (ry - fy[y2]) < 0:
+                total += w * w2
+        if cap is not None and total > cap:
+            return None
+    return total
+
+
 def crossing_number_naive(d: Drawing) -> int:
     """Weighted crossing count by scanning all O(m^2) edge pairs.
 
-    Reference implementation: the pair {e, e'} crosses iff the rank
-    differences on the two layers have opposite signs, and then costs
-    weight(e) * weight(e').  Each unordered pair is visited once; this
-    equals the ordered-pair convention (count pairs with the x-ranks
-    ascending) because exactly one of the two orderings of a crossing
-    pair has its x-ranks ascending.  Edges sharing an endpoint produce a
-    zero rank difference on that layer and are therefore never counted.
+    It shares its pair loop with the exhaustive scans of bicross.solver
+    (bcr_bruteforce and census), which run it with a cap, so it checks
+    neither of them; tests/util.reference_crossings is the independent
+    count, written from the definition.
     """
-    edges = d.graph.edges
     fx = d.fx.ranks
-    fy = d.fy.ranks
-    total = 0
-    for i, (xi, yi, wi) in enumerate(edges):
-        for xj, yj, wj in edges[i + 1 :]:
-            if (fx[xi] - fx[xj]) * (fy[yi] - fy[yj]) < 0:
-                total += wi * wj
-    return total
+    return _count_capped([(fx[x], y, w) for x, y, w in d.graph.edges], d.fy.ranks, None)
 
 
 def weighted_inversions(edges: Sequence[tuple[int, int, int]], size: int) -> int:

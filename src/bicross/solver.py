@@ -54,6 +54,7 @@ from itertools import permutations
 
 from .drawing import (
     Drawing,
+    _count_capped,
     crossing_number_fast,
     drawing_from_ranks,
     layout_from_sequence,
@@ -192,24 +193,6 @@ def _scan_size(g: BipartiteGraph, limits: Limits, name: str) -> int:
     return pairs
 
 
-def _count_capped(ex: list[tuple[int, int, int]], fy, cap: int | None) -> int | None:
-    """Weighted crossing count of pre-ranked edges, or None once it exceeds cap.
-
-    ex holds (x-rank, y-vertex, weight) per edge; fy maps y-vertex to rank.
-    """
-    total = 0
-    for i in range(len(ex)):
-        rx, y, w = ex[i]
-        ry = fy[y]
-        for j in range(i + 1, len(ex)):
-            rx2, y2, w2 = ex[j]
-            if (rx - rx2) * (ry - fy[y2]) < 0:
-                total += w * w2
-        if cap is not None and total > cap:
-            return None
-    return total
-
-
 def bcr_bruteforce(
     g: BipartiteGraph, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[int, Drawing]:
@@ -220,21 +203,17 @@ def bcr_bruteforce(
     _scan_size.
     """
     _scan_size(g, limits, "oracle")
-    a, b = g.x_count, g.y_count
-    best: int | None = None
-    best_fx: tuple[int, ...] = ()
-    best_fy: tuple[int, ...] = ()
-    for fx in permutations(range(a)):
+    cap = None  # a count is returned iff it beats the least so far, the first always
+    for fx in permutations(range(g.x_count)):
         ex = [(fx[x], y, w) for x, y, w in g.edges]
-        for fy in permutations(range(b)):
-            cap = None if best is None else best - 1
+        for fy in permutations(range(g.y_count)):
             total = _count_capped(ex, fy, cap)
-            if total is not None and (best is None or total < best):
-                best, best_fx, best_fy = total, fx, fy
-        if best == 0:
-            break  # nothing can beat 0 and later witnesses lose the tie-break
-    assert best is not None  # permutations() is non-empty even for empty sides
-    return best, drawing_from_ranks(g, best_fx, best_fy)
+            if total is not None:
+                if not total:  # nothing beats 0, and later witnesses lose the tie-break
+                    return 0, drawing_from_ranks(g, fx, fy)
+                best, cap = (total, fx, fy), total - 1
+    total, fx, fy = best
+    return total, drawing_from_ranks(g, fx, fy)
 
 
 # -- drawing census ----------------------------------------------------------

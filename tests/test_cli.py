@@ -11,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicross import BipartiteGraph, build_graph, drawing_from_ranks
+from bicross import BipartiteGraph, bcr_decide, build_graph, census, drawing_from_ranks
 from bicross.cli import (
     ParseError,
+    census_document,
     emit_svg,
     main,
     parse_edge_list_text,
+    parse_graph,
     parse_graph_text,
+    solve_document,
     svg_string,
 )
 from util import graph_to_text, left_in_cycles, weighted_triples
@@ -178,6 +181,29 @@ class TestParsing:
             parse_edge_list_text("0 0\n# note\n1 0\n0 0 2\n")
         assert err.value.line == 4
 
+    def test_native_duplicate_names_both_lines(self):
+        with pytest.raises(ParseError) as err:
+            parse_graph_text("bigraph 2 2\nx0 y0\n# note\nx1 y0\nx0 y0 2\n")
+        assert str(err.value) == "line 5: duplicate edge x0 y0 (first on line 2)"
+
+    @pytest.mark.parametrize(
+        "fmt,text",
+        [
+            ("native", b"bigraph 2 2\r\nx0 y0\r\n\r\nx1 y1 \xff\r\n"),
+            ("edgelist", b"# caf\xc3\xa9\n0 0\n\n1 \xff1\n"),
+        ],
+        ids=["native-crlf", "edgelist"],
+    )
+    def test_files_are_utf8_and_a_bad_byte_names_the_file_and_line(self, tmp_path, fmt, text):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text)
+        with pytest.raises(ParseError) as err:
+            parse_graph(path, fmt)
+        assert str(err.value) == f"{path}:4: byte 0xff is not UTF-8"
+        assert err.value.line == 4
+        path.write_bytes(text.replace(b"\xff", b""))
+        assert parse_graph(path, fmt).edges == ((0, 0, 1), (1, 1, 1))
+
 
 class TestCommands:
     def run(self, capsys, *argv):
@@ -238,6 +264,25 @@ class TestCommands:
                     assert main(argv) == 0
 
             assert left_in_cycles(call) == 0, argv[0]
+
+    def test_report_keys_keep_their_order(self):
+        # format_table writes the keys in this order
+        head = ["input", "n_x", "n_y", "m", "k"]
+        doc = solve_document("c4.bg", c4(), bcr_decide(c4(), 1), 3)
+        assert list(doc) == head + [
+            "decision", "optimum", "witness", "stats", "method", "wall_time_ms"
+        ]
+        doc = census_document("c4.bg", c4(), 1, census(c4(), 1), 3)
+        assert list(doc) == head + [
+            "count", "bound", "pairs_scanned", "sibling_free", "wall_time_ms"
+        ]
+
+    def test_file_not_utf8_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.bg"
+        path.write_bytes(b"bigraph 1 1\nx0 y0 \xfe\n")
+        code, _, err = self.run(capsys, "decide", "--k", "0", str(path))
+        assert code == 2
+        assert err == f"error: {path}:2: byte 0xfe is not UTF-8\n"
 
     def test_table_output_default(self, tmp_path, capsys):
         path = write(tmp_path, "c4.bg", C4_TEXT)

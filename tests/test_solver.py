@@ -41,6 +41,7 @@ from bicross import (
 from bicross.drawing import Drawing, layout_from_sequence
 from bicross.limits import Limits
 from util import (
+    all_drawings,
     connected_graph_classes,
     has_sibling_pair,
     inject_sibling_leaves,
@@ -113,6 +114,27 @@ def c12():
 SPIDER = build_graph(4, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1), (3, 2)])
 
 
+def small_weighted_graphs(count=60, seed=61):
+    """Seeded graphs with sides of 1 to 4 and weights 1 to 3: every fifth one
+    edgeless, every fifth about one edge, the rest about half of all pairs."""
+    rng = random.Random(seed)
+    graphs = []
+    for i in range(count):
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        p = (0.0, 1 / (a * b), 0.5, 0.5, 0.5)[i % 5]
+        edges = [(x, y, rng.randint(1, 3)) for x in range(a) for y in range(b) if rng.random() < p]
+        graphs.append(BipartiteGraph(a, b, tuple(edges)))
+    return graphs
+
+
+def reference_counts(g):
+    """(crossings, fx, fy) of every drawing of g, from the definition."""
+    return [
+        (reference_crossings(g.edges, fx, fy), fx, fy)
+        for fx, fy in all_drawings(g.x_count, g.y_count)
+    ]
+
+
 class TestBruteforce:
     def test_c4(self):
         value, witness = bcr_bruteforce(c4())
@@ -133,6 +155,14 @@ class TestBruteforce:
         g = build_graph(2, 2, [(0, 0, 2), (0, 1), (1, 0), (1, 1, 3)])
         # four layout pairs; reference oracle gives the weighted minimum
         assert bcr_bruteforce(g)[0] == reference_bcr(2, 2, g.edges)
+
+    def test_least_count_and_first_witness_match_the_reference(self):
+        graphs = small_weighted_graphs()
+        assert {g.m for g in graphs} >= {0, 1}
+        for g in graphs:
+            value, witness = bcr_bruteforce(g)
+            got = (value, witness.fx.ranks, witness.fy.ranks)
+            assert got == min(reference_counts(g)), g
 
     def test_side_limit(self):
         with pytest.raises(ResourceLimitError, match="oracle"):
@@ -187,6 +217,12 @@ class TestCensus:
             assert census(g, 0).sibling_free is want, g.edges
             free += want
         assert 0 < free < len(graphs)
+
+    def test_counts_match_the_reference(self):
+        for g in small_weighted_graphs():
+            counts = [count for count, _, _ in reference_counts(g)]
+            for k in range(4):
+                assert census(g, k).count == sum(c <= k for c in counts), (g, k)
 
     def test_size_guard(self):
         with pytest.raises(ResourceLimitError, match="census"):
