@@ -175,7 +175,13 @@ def parse_edge_list_text(text: str, source: str | None = None) -> BipartiteGraph
 
 
 def parse_graph(path: str | Path, fmt: str = "native") -> BipartiteGraph:
-    """Graph from a UTF-8 file; a byte that is not UTF-8 raises ParseError."""
+    """Graph from a UTF-8 file in fmt, "native" or "edgelist".
+
+    Any other fmt raises ValueError before the file is read, and a byte
+    that is not UTF-8 raises ParseError.
+    """
+    if fmt not in ("native", "edgelist"):
+        raise ValueError(f"unknown graph format {fmt!r}: expected 'native' or 'edgelist'")
     data = Path(path).read_bytes()
     try:
         text = data.decode()

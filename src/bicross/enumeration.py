@@ -56,12 +56,13 @@ the graph is connected and free of sibling pairs.  The mechanism:
    more vertices are placed and min is monotone, so the partial bound
    never decreases along a branch, and a branch is cut as soon as it
    exceeds k.  A layout of a drawing with at most k crossings has a bound
-   of at most k, so no such layout is lost.  The crossable edge pairs and
-   their weights come from BipartiteGraph.crossable_pairs.  Which of a
-   pair's two terms a placed vertex x settles against an earlier z
-   depends only on whether x is left of z, so the sums, and the bound,
-   depend only on the relative order of the placed vertices, which is
-   what the walk builds.  It keeps c_uv - c_vu per pair: the settled
+   of at most k, so no such layout is lost.  The crossable edge pairs,
+   their weights and their signed terms come from
+   BipartiteGraph.pair_terms(side).  Which of a pair's two terms a
+   placed vertex x settles against an earlier z depends only on whether
+   x is left of z, so the sums, and the bound, depend only on the
+   relative order of the placed vertices, which is what the walk
+   builds.  It keeps c_uv - c_vu per pair: the settled
    weight c_uv + c_vu does not depend on the order, and
    sum(min(c_uv, c_vu)) = (settled weight - sum(|c_uv - c_vu|)) / 2.
    Since it places vertices in a fixed order, only the rows of a later
@@ -292,14 +293,13 @@ def _order_tables(
 ) -> tuple[list[list[Sequence[tuple[int, int]]]], list[list[tuple[int, int]]], list[int]]:
     """Crossing weights that each same-side order decision settles.
 
-    One pass over g.crossable_pairs.  The opposite-side pair {lo < hi} has
-    the id p = lo * b + hi in a flat b x b table, where the walk keeps
-    c_lohi - c_hilo.  Take a crossable edge pair at side vertices x and z,
-    with z before x in order: when x is left of z it adds its weight to
-    c_lohi or to c_hilo, so it changes the table at p by some e = +-w,
-    and by -e when x is right of z.  Only this direction, a later vertex
-    against an earlier one, is built, because it is the only one the
-    walk reads:
+    One pass over g.pair_terms(side), whose term e of an edge pair at
+    side vertices x and z is its change to c_lohi - c_hilo at p when x
+    is left of z, and -e when x is right of z.  The walk keeps those
+    differences in a flat table indexed by p.  Only the direction of a
+    later vertex against an earlier one is built, because it is the only
+    one the walk reads, so a pair with x before z in order is read the
+    other way round, as z against x with -e:
 
     - left[d] lists (p, sum of e) over the edge pairs of x = order[d]
       with order[0..d-1], where that sum is not 0: the change when x
@@ -310,34 +310,24 @@ def _order_tables(
       order[0..d-1], whichever way round each pair goes.
     """
     a = len(order)
-    b = g.side_count(side.other)
     at = [0] * a
     for d, v in enumerate(order):
         at[v] = d
-    swap = side is Side.Y
     settles = [0] * a
     moves: list[list[Sequence[tuple[int, int]]]] = [[()] * a for _ in range(a)]
     sums: list[dict[int, int]] = [{} for _ in range(a)]
-    for x, y, z, yz, w in g.crossable_pairs:
-        if swap:
-            x, y, z, yz = y, x, yz, z
+    for x, z, p, e, w in g.pair_terms(side):
         if at[x] < at[z]:
-            x, y, z, yz = z, yz, x, y
+            x, z, e = z, x, -e
         d = at[x]
         settles[d] += w
-        # x left of z: the edges cross iff yz is left of y
-        if yz > y:
-            p = y * b + yz
-            w = -w
-        else:
-            p = yz * b + y
         total = sums[d]
-        total[p] = total.get(p, 0) + w
+        total[p] = total.get(p, 0) + e
         row = moves[x]
         if row[z]:
-            row[z].append((p, -2 * w))
+            row[z].append((p, -2 * e))
         else:
-            row[z] = [(p, -2 * w)]
+            row[z] = [(p, -2 * e)]
     left = [[(p, e) for p, e in total.items() if e] for total in sums]
     return moves, left, settles
 
@@ -440,8 +430,8 @@ def enumerate_candidates(
     walk recurses once per vertex, so a side too deep for the recursion
     limit raises ResourceLimitError at once (check_depth), before any
     table is built.  So does a graph with more crossable edge pairs,
-    counted from the degrees, than limits.max_crossable_pairs: the tables
-    hold one entry per such pair.
+    counted from the degrees, than limits.max_crossable_pairs: g.pair_terms
+    and the tables built from it hold one entry per such pair.
     """
     _check_budget("k", k)
     a = g.side_count(side)

@@ -105,7 +105,7 @@ class BipartiteGraph:
 
     @property
     def crossable_pair_count(self) -> int:
-        """len(crossable_pairs), from the degrees alone, without building the table.
+        """len(pair_terms(side)), from the degrees alone, without building a table.
 
         Two distinct edges share at most one endpoint, so the pairs that
         can cross are the C(m, 2) edge pairs minus the C(deg v, 2) pairs
@@ -117,16 +117,23 @@ class BipartiteGraph:
         )
         return (m * (m - 1) - meeting) // 2
 
-    @cached_property
-    def crossable_pairs(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """``(x, y, x2, y2, w * w2)`` per edge pair with four distinct endpoints,
-        the pairs that can cross, in edge order; the cost w * w2 is an exact int."""
-        return tuple(
-            (x, y, x2, y2, w * w2)
-            for i, (x, y, w) in enumerate(self.edges)
-            for x2, y2, w2 in self.edges[i + 1 :]
-            if x != x2 and y != y2
-        )
+    def pair_terms(self, side: Side) -> tuple[tuple[int, int, int, int, int], ...]:
+        """``(x, z, p, e, w)`` per edge pair with four distinct endpoints, in edge order.
+
+        These are the pairs that can cross.  x and z are the pair's
+        endpoints on side, y and y2 those on the other side, of size b,
+        and w = w1 * w2 is its exact int cost.  p = min(y, y2) * b +
+        max(y, y2) numbers the other side's pair {lo < hi}, and e is what
+        the edge pair adds to c_lohi - c_hilo when x is left of z, where
+        c_uv is the weight that crosses when u is left of v: the edges
+        cross iff y2 is left of y, so e = -w if y < y2, else +w.  With x
+        right of z the pair adds -e.  Built on the first call per side,
+        then cached on the graph.
+        """
+        key = f"pair_terms_{side.value}"
+        if key not in self.__dict__:
+            self.__dict__[key] = _pair_terms(self, side)
+        return self.__dict__[key]
 
     @cached_property
     def weight(self) -> dict[tuple[int, int], int]:
@@ -137,6 +144,20 @@ class BipartiteGraph:
 
     def has_edge(self, x: int, y: int) -> bool:
         return (x, y) in self.weight
+
+
+def _pair_terms(g: BipartiteGraph, side: Side) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The table of BipartiteGraph.pair_terms(side), built afresh."""
+    b = g.side_count(side.other)
+    # each edge as (endpoint on side, endpoint on the other side, weight)
+    edges = g.edges if side is Side.X else [(x, y, w) for y, x, w in g.edges]
+    return tuple(
+        (x, z, y * b + y2, -w, w) if y < y2 else (x, z, y2 * b + y, w, w)
+        for i, (x, y, w1) in enumerate(edges)
+        for z, y2, w2 in edges[i + 1 :]
+        if x != z and y != y2
+        for w in (w1 * w2,)
+    )
 
 
 def _derived_graph(

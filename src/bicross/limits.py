@@ -58,14 +58,17 @@ class Limits:
             within 2^10 nodes.
         max_crossable_pairs: cap on the edge pairs with four distinct
             endpoints, the pairs that can cross, of a graph handed to the
-            candidate walk.  The walk and the second-side search build
-            tables with one entry per such pair, about m^2 / 2 of them;
-            the count comes from the degrees and is checked before any
-            table is built.  With Python 3.11 a walk holds about 260
-            bytes per pair at its peak (tracemalloc, crossable_pairs
-            included), so the default 2^21 stops a search before its
-            tables pass about 0.5 GB.  C4 with a 600-edge path hung on
-            it and a leaf on every path vertex has 722,402 such pairs and
+            candidate walk.  The walk and the second-side search read the
+            walked side's BipartiteGraph.pair_terms table and build
+            tables from it, each with one entry per such pair, about
+            m^2 / 2 of them; the count comes from the degrees and is
+            checked before any table is built.  With Python 3.11 a
+            search holds about 265 bytes per pair at its peak
+            (tracemalloc, the pair_terms table included; a test
+            requires at most 300 on C4 with a 100-edge path hung on it
+            and a leaf on every path vertex, 20,402 pairs), so the
+            default 2^21 stops a search before its tables pass about
+            0.5 GB.  C4 with a 600-edge such path has 722,402 pairs and
             answers k = 1; K_{46,46} has 2,142,450 and raises at once.
             A search's tables are freed when it returns, so the same
             figure bounds a bcr_exact ascent, whose peak is that of its

@@ -417,9 +417,10 @@ def _best_second_order(
     the nodes of this search, and a search that takes it past
     limits.max_walk_nodes raises ResourceLimitError.
 
-    For u, v on side let c_uv be the weight of the edge pairs of
-    h.crossable_pairs that cross when u is left of v; each such pair
-    crosses in exactly one of the two orders.  The search appends the
+    For u, v on side let c_uv be the weight of the edge pairs that
+    cross when u is left of v; each pair of h.pair_terms(side.other)
+    crosses in exactly one of the two orders, and its term, signed by
+    the fixed ranks, gives c_uv - c_vu.  The search appends the
     vertices left to right.  A placed vertex is left of every unplaced
     one, so with the pairs inside the unplaced set counted at
     min(c_uv, c_vu), placing v adds the excess max(0, c_vu - c_uv) over
@@ -435,18 +436,9 @@ def _best_second_order(
     n = h.side_count(side)
     diff = [0] * (n * n)  # c_uv - c_vu at p = u * n + v, u < v
     total = 0
-    swap = side is Side.X
-    for x, y, z, yz, w in h.crossable_pairs:
-        if swap:
-            x, y, z, yz = y, x, yz, z
+    for x, z, p, e, w in h.pair_terms(side.other):
         total += w
-        # y left of yz crosses iff fixed has x right of z
-        if fixed[x] < fixed[z]:
-            w = -w
-        if y < yz:
-            diff[y * n + yz] += w
-        else:
-            diff[yz * n + y] -= w
+        diff[p] += e if fixed[x] < fixed[z] else -e
     # rows[v] lists (u, e) where u left of v costs e over the cheaper
     # order of the two; out[u] sums what placing u next adds against the
     # unplaced vertices, and base is the sum of min(c_uv, c_vu)

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import bicross.graph as graph_mod
 from bicross import BipartiteGraph
 from util import all_drawings, random_sibling_free_graph, reference_crossings
 
@@ -26,6 +27,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """(edge count, side) of each pair_terms table built during the test, in order."""
+    real = graph_mod._pair_terms
+    built = []
+
+    def counting(g, side):
+        built.append((g.m, side))
+        return real(g, side)
+
+    monkeypatch.setattr(graph_mod, "_pair_terms", counting)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -204,6 +204,20 @@ class TestParsing:
         path.write_bytes(text.replace(b"\xff", b""))
         assert parse_graph(path, fmt).edges == ((0, 0, 1), (1, 1, 1))
 
+    @pytest.mark.parametrize("fmt", ["nativ", "edge-list", "Native", ""])
+    def test_unknown_format_is_refused(self, tmp_path, fmt):
+        message = f"unknown graph format {fmt!r}: expected 'native' or 'edgelist'"
+        # a file of digit pairs would parse as an edge list, a native file
+        # would fail on its header, and a missing file is never opened
+        for name, text in (("pairs.txt", "0 0\n1 1\n"), ("c4.bg", C4_TEXT), ("missing", None)):
+            path = tmp_path / name
+            if text is not None:
+                path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                parse_graph(path, fmt)
+            assert str(err.value) == message
+            assert not isinstance(err.value, ParseError)
+
 
 class TestCommands:
     def run(self, capsys, *argv):

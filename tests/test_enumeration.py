@@ -35,8 +35,8 @@ from util import (
     one_sided_bound,
     random_connected_graph,
     random_sibling_free_graph,
-    reference_crossable_pairs,
     reference_crossings,
+    reference_pair_terms,
     spine_by_last_visit,
     weighted_connected_graphs,
 )
@@ -379,7 +379,7 @@ class TestOrderTables:
                     settled += settles[d]
                     placed = set(order[: d + 1])
                     sub = [edge for edge in edges if edge[0 if is_x else 1] in placed]
-                    assert settled == sum(w for *_, w in reference_crossable_pairs(sub))
+                    assert settled == sum(w for *_, w in reference_pair_terms(sub, is_x, other))
                     spread = sum(abs(v) for v in diff)
                     assert (settled - spread) % 2 == 0
                     assert (settled - spread) // 2 == one_sided_bound(sub, is_x, ranks)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bicross import (
     BipartiteGraph,
     GraphError,
+    Side,
     bcr_decide,
     bcr_exact,
     build_graph,
@@ -29,7 +30,8 @@ from util import (
     random_connected_graph,
     random_disconnected_graph,
     reference_bcr,
-    reference_crossable_pairs,
+    reference_crossings,
+    reference_pair_terms,
     scan_bcr,
     with_pendant_path,
 )
@@ -144,20 +146,25 @@ def weighted_edge_sets(draw):
     return a, b, [(x, y, draw(weight)) for x, y in chosen]
 
 
+def reference_terms(g: BipartiteGraph, side: Side) -> list[tuple[int, int, int, int, int]]:
+    return reference_pair_terms(g.edges, side is Side.X, g.side_count(side.other))
+
+
 class TestCrossablePairs:
     @settings(max_examples=300, deadline=None)
     @given(t=weighted_edge_sets())
     def test_matches_a_brute_force(self, t):
         a, b, edges = t
         g = BipartiteGraph(a, b, tuple(edges))
-        assert list(g.crossable_pairs) == reference_crossable_pairs(edges)
-        assert g.crossable_pairs is g.crossable_pairs  # built once, then cached
-        assert g.crossable_pair_count == len(g.crossable_pairs)
+        for side in (Side.X, Side.Y):
+            assert list(g.pair_terms(side)) == reference_terms(g, side)
+            assert g.pair_terms(side) is g.pair_terms(side)  # built once, then cached
+            assert g.crossable_pair_count == len(g.pair_terms(side))
 
-    def test_count_needs_no_table(self):
+    def test_count_needs_no_table(self, built_tables):
         g = build_graph(46, 46, [(x, y) for x in range(46) for y in range(46)])
         assert g.crossable_pair_count == 2_142_450  # C(2116, 2) - 92 * C(46, 2)
-        assert "crossable_pairs" not in vars(g)
+        assert built_tables == []
 
     def test_derived_graphs_match_a_brute_force(self):
         # split and merge build their graphs without __post_init__
@@ -166,11 +173,44 @@ class TestCrossablePairs:
             a, b, edges = random_disconnected_graph(rng)
             g = BipartiteGraph(a, b, tuple(edges))
             for h in [part.graph for part in split_components(g)] + [sibling_merge(g).graph]:
-                assert list(h.crossable_pairs) == reference_crossable_pairs(h.edges)
+                for side in (Side.X, Side.Y):
+                    assert list(h.pair_terms(side)) == reference_terms(h, side)
 
-    def test_c4(self):
-        # only the two diagonal pairs have four distinct endpoints
-        assert c4().crossable_pairs == ((0, 0, 1, 1, 1), (0, 1, 1, 0, 1))
+    def test_c4(self, built_tables):
+        # only the two diagonal pairs have four distinct endpoints; each
+        # side's pair {0, 1} is p = 1, and the two terms cancel, as C4
+        # crosses once in either order
+        g = c4()
+        for _ in range(2):
+            assert g.pair_terms(Side.X) == ((0, 1, 1, -1, 1), (0, 1, 1, 1, 1))
+            assert g.pair_terms(Side.Y) == ((0, 1, 1, -1, 1), (1, 0, 1, -1, 1))
+        assert built_tables == [(4, Side.X), (4, Side.Y)]  # once per side
+
+    def test_terms_sum_to_the_crossing_differences(self):
+        # under a full layout of side, each pair adds e or -e at p, and the
+        # sums are c_uv - c_vu for every pair u < v of the other side
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(200):
+            a, b, edges = random_connected_graph(rng, max_n=9)
+            edges = [(x, y, rng.randint(1, 4)) for x, y, _ in edges]
+            g = BipartiteGraph(a, b, tuple(edges))
+            for side in (Side.X, Side.Y):
+                own, n = g.side_count(side), g.side_count(side.other)
+                ranks = rng.sample(range(own), own)
+                diff = [0] * (n * n)
+                for x, z, p, e, _ in g.pair_terms(side):
+                    diff[p] += e if ranks[x] < ranks[z] else -e
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        at = [edge for edge in edges if edge[1 if side is Side.X else 0] in (u, v)]
+                        placed = (ranks, {u: 0, v: 1}), (ranks, {v: 0, u: 1})
+                        if side is Side.Y:
+                            placed = tuple((fy, fx) for fx, fy in placed)
+                        c_uv, c_vu = (reference_crossings(at, *fs) for fs in placed)
+                        assert diff[u * n + v] == c_uv - c_vu, (edges, side, ranks)
+                        checked += 1
+        assert checked >= 1400
 
 
 class TestComponents:

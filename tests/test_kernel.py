@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from functools import cached_property
 
 import pytest
 
@@ -409,33 +408,19 @@ def test_oracle_equivalence_random_with_tails():
 
 
 class TestCrossableTable:
-    """One crossable-pair table per kernel graph, for both walks and the pair search."""
+    """One pair_terms table per kernel graph, of the walked side, read by the
+    candidate walk and the second-side search."""
 
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """Edge counts of the graphs whose crossable_pairs table gets built."""
-        real = BipartiteGraph.__dict__["crossable_pairs"].func
-        sizes = []
-
-        def counting(g):
-            sizes.append(g.m)
-            return real(g)
-
-        spy = cached_property(counting)
-        spy.__set_name__(BipartiteGraph, "crossable_pairs")
-        monkeypatch.setattr(BipartiteGraph, "crossable_pairs", spy)
-        return sizes
-
-    def test_one_table_across_the_ascent(self, built):
+    def test_one_table_across_the_ascent(self, built_tables):
         # C6 has no pendant path, so budgets 1 and 2 search the same kernel
         c6 = BipartiteGraph(3, 3, tuple((i, j % 3, 1) for i in range(3) for j in (i, i + 1)))
         report = bcr_exact(c6, 10)
         assert report.optimum == 2
         assert report.stats.candidates_x > 0
-        assert built == [6]
+        assert built_tables == [(6, Side.X)]
 
-    def test_the_tight_kernel_builds_its_own(self, built):
+    def test_the_tight_kernel_builds_its_own(self, built_tables):
         # the kernel at 3 keeps 8 tail edges; the one at the optimum 1 keeps 4
         report = bcr_decide(c4_tail(12), 3)
         assert (report.decision, report.optimum) == ("yes", 1)
-        assert built == [4 + 8, 4 + 4]
+        assert built_tables == [(4 + 8, Side.X), (4 + 4, Side.X)]

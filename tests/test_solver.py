@@ -623,7 +623,7 @@ def c4_leafy_path(length):
 class TestRecursionDepth:
     """A side too deep for the recursion limit raises before any table is built."""
 
-    def test_deep_side_raises_a_resource_error(self):
+    def test_deep_side_raises_a_resource_error(self, built_tables):
         g = c4_leafy_path(1000)
         assert (g.x_count, g.y_count) == (1002, 1002)
         with pytest.raises(ResourceLimitError, match="side x has 1002 vertices"):
@@ -631,15 +631,15 @@ class TestRecursionDepth:
         with pytest.raises(ResourceLimitError, match="side y has 1002 vertices"):
             bcr_decide(g, 1)
         # neither built the m^2 table of crossable edge pairs
-        assert "crossable_pairs" not in vars(g)
+        assert built_tables == []
 
-    def test_deep_second_side_raises_before_the_walk(self):
+    def test_deep_second_side_raises_before_the_walk(self, built_tables):
         # K_{2,1000}: the X walk would fit, but the 1,000 Y vertices it
         # leaves to the second-side search would not
         g = build_graph(2, 1000, [(x, y) for x in range(2) for y in range(1000)])
         with pytest.raises(ResourceLimitError, match="side y has 1000 vertices"):
             bcr_decide(g, 10**6)
-        assert "crossable_pairs" not in vars(g)
+        assert built_tables == []
 
     def test_shallow_side_answers(self):
         g = c4_leafy_path(40)
@@ -650,19 +650,20 @@ class TestCrossablePairCeiling:
     """A graph with too many edge pairs that can cross raises before any
     table of them is built; below the ceiling long trees still answer."""
 
-    def test_small_ceiling_raises_before_the_table(self):
+    def test_small_ceiling_raises_before_the_table(self, built_tables):
         c6 = (3, 3, [(i, i, 1) for i in range(3)] + [((i + 1) % 3, i, 1) for i in range(3)])
         a, b, edges = with_pendant_path(c6, True, 0, 4)
         g = BipartiteGraph(a, b, tuple(edges))
         count = g.crossable_pair_count
-        assert count == len(BipartiteGraph(a, b, tuple(edges)).crossable_pairs) == 34
         limits = Limits(max_crossable_pairs=count - 1)
         message = f"{count} crossable edge pairs, over max_crossable_pairs={count - 1}"
         with pytest.raises(ResourceLimitError, match=message):
             enumerate_candidates(g, Side.X, 2, limits)
-        assert "crossable_pairs" not in vars(g)
+        assert built_tables == []
         # at the ceiling the walk runs, and returns the layouts of bcr = 2
         assert len(enumerate_candidates(g, Side.X, 2, Limits(max_crossable_pairs=count))) > 0
+        assert built_tables == [(len(edges), Side.X)]
+        assert count == len(g.pair_terms(Side.X)) == 34
 
     def test_k46_46_raises_at_once(self):
         g = build_graph(46, 46, [(x, y) for x in range(46) for y in range(46)])
@@ -675,6 +676,21 @@ class TestCrossablePairCeiling:
         assert g.crossable_pair_count < Limits().max_crossable_pairs
         report = bcr_decide(g, 1)
         assert (report.decision, report.optimum) == ("yes", 1)
+
+    def test_peak_memory_per_pair(self):
+        # the Limits docstring prices a search at about 260 bytes per
+        # crossable pair at its peak, the pair_terms table included
+        g = c4_leafy_path(100)
+        assert g.crossable_pair_count == 20_402
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = bcr_decide(g, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.optimum == 1
+        assert peak <= 300 * 20_402, f"{peak / 20_402:.0f} bytes per pair"
 
 
 class TestSearchesFreeTheirTables:

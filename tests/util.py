@@ -34,19 +34,31 @@ def reference_crossings(edges, fx, fy) -> int:
     return total
 
 
-def reference_crossable_pairs(edges) -> list[tuple[int, int, int, int, int]]:
-    """(x, y, x2, y2, w * w2) for every pair of edges with four distinct endpoints.
+def reference_pair_terms(edges, on_x: bool, other: int) -> list[tuple[int, int, int, int, int]]:
+    """(x, z, p, e, w * w2) for every pair of edges with four distinct endpoints.
 
     A brute force over all unordered pairs of the sorted edges; the
     endpoints are told apart by side, so a pair qualifies iff its four
-    tagged endpoints form a set of four.
+    tagged endpoints form a set of four.  x and z are the pair's
+    endpoints on side X (on_x) or Y, y and y2 those on the other side,
+    which has other vertices, and p = lo * other + hi for lo, hi =
+    min(y, y2), max(y, y2).  e is c_lohi - c_hilo with x left of z,
+    each term counted by reference_crossings on the two edges alone.
     """
     es = sorted((e[0], e[1], e[2] if len(e) == 3 else 1) for e in edges)
-    return [
-        (e[0], e[1], f[0], f[1], e[2] * f[2])
-        for e, f in combinations(es, 2)
-        if len({("x", e[0]), ("x", f[0]), ("y", e[1]), ("y", f[1])}) == 4
-    ]
+    terms = []
+    for e, f in combinations(es, 2):
+        if len({("x", e[0]), ("x", f[0]), ("y", e[1]), ("y", f[1])}) != 4:
+            continue
+        x, y, z, y2 = (e[0], e[1], f[0], f[1]) if on_x else (e[1], e[0], f[1], f[0])
+        lo, hi = min(y, y2), max(y, y2)
+
+        def cost(u, v):  # with x left of z and u left of v
+            own, opposite = {x: 0, z: 1}, {u: 0, v: 1}
+            return reference_crossings([e, f], *((own, opposite) if on_x else (opposite, own)))
+
+        terms.append((x, z, lo * other + hi, cost(lo, hi) - cost(hi, lo), e[2] * f[2]))
+    return terms
 
 
 def all_drawings(a: int, b: int):
